@@ -646,6 +646,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    # exact counts and bracket ends print in full, past the 4300-digit cap
+    # that Python 3.10.7 and later put on int-to-str conversion
+    old_cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if old_cap is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except InvalidInputError as exc:
@@ -654,6 +659,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    finally:
+        if old_cap is not None:
+            sys.set_int_max_str_digits(old_cap)
 
 
 if __name__ == "__main__":

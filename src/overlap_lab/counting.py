@@ -16,20 +16,25 @@ The building blocks:
   suffix realize a fixed mutually unbordered pair of distinct words.  The
   count depends only on t, not on the pair chosen: it is zero below
   n = 2t and otherwise k^(n-2t) minus the words whose shortest border
-  keeps the same ends.
+  keeps the same ends.  As a running recurrence: g_t(2t) = 1, then
+  g_t(n) = k*g_t(n-1) - g_t(n/2), the last term only for even n >= 4t.
 * mutually_bordered_count(k, n) and friends split all ordered pairs by
   i + j, with i = lso(u, v) and j = lso(v, u).  Pairs with i + j <= n
   factor as u = x s y, v = y t x where x, y are unbordered of lengths j
-  and i, giving a double sum of u_i * u_j * k^(2n - 2(i+j)).  Pairs with
+  and i, giving close_n = sum u_i * u_j * k^(2n - 2(i+j)), which runs as
+  close_n = k^2*close_(n-1) + sum_(a<n) u_a*u_(n-a).  Pairs with
   i + j > n are forced into the interleaved shape u = x s y t x,
   v = y t x s y, seeded by a mutually unbordered pair of distinct words
-  of length p = i + j - n <= n/3 and counted through g_count.
+  of length p = i + j - n <= n/3 and counted through g_count.  All pairs
+  with a right-border number sum_(i<n) u_i * k^(2(n-i)), which runs as
+  with_right_n = k^2*(with_right_(n-1) + u_(n-1)).
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from operator import mul
 
 from .errors import InvalidInputError
 
@@ -37,9 +42,14 @@ from .errors import InvalidInputError
 class CountCache:
     """Memoized count tables for one alphabet size.
 
+    Each new length extends every table by one step of a running
+    recurrence (see the module docstring), so a row costs O(n) products:
+    close_n = k^2*close_(n-1) + sum_(a<n) u_a*u_(n-a), with_right_n =
+    k^2*(with_right_(n-1) + u_(n-1)) and g_t(n) = k*g_t(n-1) - g_t(n/2).
+
     Memoization is semantically transparent: a warm cache returns exactly
-    what a cold one would.  Instances may be shared between threads; table
-    fills happen under an internal lock.
+    what a cold one would, in any order of requests.  Instances may be
+    shared between threads; table fills happen under an internal lock.
     """
 
     def __init__(self, k: int):
@@ -52,6 +62,7 @@ class CountCache:
         self._mutual: dict[int, int] = {}
         self._right: dict[int, int] = {}
         self._neither: dict[int, int] = {}
+        self._close: dict[int, int] = {0: 0}
 
     def unbordered(self, n: int) -> int:
         if n < 0:
@@ -63,7 +74,7 @@ class CountCache:
         if t < 1 or n < t:
             raise InvalidInputError(f"need 1 <= t <= n, got t={t}, n={n}")
         with self._lock:
-            return self._g_locked(t, n)
+            return self._g_table_locked(t, n)[n]
 
     def mutually_bordered(self, n: int) -> int:
         with self._lock:
@@ -91,52 +102,42 @@ class CountCache:
             tbl.append(value)
         return tbl[n]
 
-    def _g_locked(self, t: int, n: int) -> int:
-        # index by n; entries below 2t are zero because a shorter word
-        # cannot hold both ends of a mutually unbordered pair
-        tbl = self._g_tables.setdefault(t, [0] * (2 * t))
+    def _g_table_locked(self, t: int, n: int) -> list[int]:
+        # index by length: zero below 2t, too short to hold both ends of a
+        # mutually unbordered pair, and one at 2t, the seed pair itself
+        tbl = self._g_tables.setdefault(t, [0] * (2 * t) + [1])
         k = self.k
         while len(tbl) <= n:
             m = len(tbl)
-            value = k ** (m - 2 * t)
-            for i in range(2 * t, m // 2 + 1):
-                value -= tbl[i] * k ** (m - 2 * i)
+            value = k * tbl[m - 1]
+            if m % 2 == 0 and m >= 4 * t:
+                value -= tbl[m // 2]
             tbl.append(value)
-        return tbl[n]
+        return tbl
 
     def _ensure_pairs_locked(self, n: int) -> None:
         if n < 1:
             raise InvalidInputError(f"length must be at least 1, got {n}")
-        k = self.k
-        for j in range(1, n + 1):
-            if j in self._mutual:
-                continue
+        k2 = self.k * self.k
+        self._unbordered_locked(n)
+        u = self._unbordered
+        for j in range(len(self._mutual) + 1, n + 1):
             # close pairs: overlap lengths a = lso(u,v), b = lso(v,u) with
             # a + b <= j; the two shortest overlaps are disjoint unbordered
             # blocks and the middles are free
-            close = 0
-            for a in range(1, j):
-                u_a = self._unbordered_locked(a)
-                for b in range(1, j - a + 1):
-                    close += u_a * self._unbordered_locked(b) * k ** (2 * j - 2 * (a + b))
+            ends = u[1:j]
+            mutual = self._close[j] = k2 * self._close[j - 1] + sum(map(mul, ends, reversed(ends)))
             # far pairs: a + b > j; seeded by an ordered mutually unbordered
             # pair of distinct length-p words sitting at both ends
-            far = 0
             for p in range(1, j // 3 + 1):
-                seeds = self._neither[p] - self._unbordered_locked(p)
-                if seeds == 0:
-                    continue
-                halves = 0
-                for l in range(2 * p, j - p + 1):
-                    halves += self._g_locked(p, l) * self._g_locked(p, j - l + p)
-                far += seeds * halves
-            mutual = close + far
-            with_right = sum(
-                k ** (2 * j - 2 * i) * self._unbordered_locked(i) for i in range(1, j)
-            )
-            self._mutual[j] = mutual
+                halves = self._g_table_locked(p, j - p)[2 * p : j - p + 1]
+                mutual += (self._neither[p] - u[p]) * sum(map(mul, halves, reversed(halves)))
+            # pairs with a right-border; at j - 1 they number M + R
+            with_right = k2 * (self._mutual[j - 1] + self._right[j - 1] + u[j - 1]) if j > 1 else 0
             self._right[j] = with_right - mutual
-            self._neither[j] = k ** (2 * j) - 2 * self._right[j] - mutual
+            self._neither[j] = k2**j - 2 * self._right[j] - mutual
+            # written last, so an interrupted fill redoes row j from the start
+            self._mutual[j] = mutual
 
 
 def _resolve_cache(k: int, cache: CountCache | None) -> CountCache:
@@ -181,19 +182,16 @@ def g_count(k: int, t: int, n: int, *, cache: CountCache | None = None) -> int:
 
 def mutually_bordered_count(k: int, n: int, *, cache: CountCache | None = None) -> int:
     """Ordered pairs of length-n words with a right- and a left-border."""
-    _require_positive_length(n)
     return _resolve_cache(k, cache).mutually_bordered(n)
 
 
 def right_bordered_count(k: int, n: int, *, cache: CountCache | None = None) -> int:
     """Ordered pairs of length-n words with a right-border but no left-border."""
-    _require_positive_length(n)
     return _resolve_cache(k, cache).right_bordered(n)
 
 
 def mutually_unbordered_count(k: int, n: int, *, cache: CountCache | None = None) -> int:
     """Ordered pairs of length-n words with no border in either direction."""
-    _require_positive_length(n)
     return _resolve_cache(k, cache).mutually_unbordered(n)
 
 

@@ -1,11 +1,15 @@
 """End-to-end command-line behavior: formats, exit codes, budgets."""
 
+import contextlib
 import csv
 import io
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
+from overlap_lab import QUANTITIES, CountCache, limit_report, mutually_unbordered_count
 from overlap_lab.cli import (
     BUDGET_ENV_VAR,
     EXIT_BUDGET,
@@ -27,6 +31,24 @@ def run(capsys, *argv: str):
 
 def parse_csv(text: str) -> list[dict]:
     return list(csv.DictReader(io.StringIO(text)))
+
+
+def int_text_cap():
+    # Python's int-to-str digit cap; None where the interpreter has none
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+@contextlib.contextmanager
+def uncapped_int_text():
+    # lets the test itself parse integers past the cap
+    old = int_text_cap()
+    if old is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)
 
 
 def test_parse_word_forms():
@@ -157,6 +179,26 @@ def test_count_json_round_trip(capsys):
     assert total == 3**60
 
 
+def test_count_prints_rows_past_the_int_text_cap(capsys):
+    k = 10**30
+    cap = int_text_cap()
+    code, out, err = run(
+        capsys,
+        "count", "--k", str(k), "--n", "75",
+        "--quantities", "U",
+        "--format", "csv",
+    )
+    assert code == EXIT_OK, err
+    assert int_text_cap() == cap
+    rows = parse_csv(out)
+    assert [row["n"] for row in rows] == [str(n) for n in range(1, 76)]
+    assert len(rows[-1]["U"]) > 4300
+    with uncapped_int_text():
+        values = [int(row["U"]) for row in rows]
+    cache = CountCache(k)
+    assert values == [mutually_unbordered_count(k, n, cache=cache) for n in range(1, 76)]
+
+
 def test_count_rejects_bad_quantities(capsys):
     code, _, err = run(capsys, "count", "--k", "2", "--n", "3", "--quantities", "X")
     assert code == EXIT_USAGE
@@ -244,6 +286,28 @@ def test_limits_csv(capsys):
     assert decimals["R_limit"] == "0.247"
     assert decimals["U_limit"] == "0.310"
     assert decimals["expected_lso"] == "0.605"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_limits_prints_brackets_past_the_int_text_cap(capsys, fmt):
+    cap = int_text_cap()
+    code, out, err = run(
+        capsys,
+        "limits", "--k", "2", "--terms", "3667", "--precision", "1100",
+        "--format", fmt,
+    )
+    assert code == EXIT_OK, err
+    assert int_text_cap() == cap
+    rows = parse_csv(out) if fmt == "csv" else json.loads(out)["reports"]
+    assert [row["quantity"] for row in rows] == list(QUANTITIES)
+    assert max(len(row["lo"]) for row in rows) > 4300
+    cache = CountCache(2)
+    for row in rows:
+        want = limit_report(row["quantity"], 2, 3667, 1100, cache=cache)
+        assert row["decimal"] == want.decimal
+        with uncapped_int_text():
+            assert Fraction(row["lo"]) == want.interval.lo
+            assert Fraction(row["hi"]) == want.interval.hi
 
 
 def test_limits_refuses_uncertifiable_precision(capsys):

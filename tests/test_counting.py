@@ -6,6 +6,8 @@ neutral referee for the closed-form recurrences.
 """
 
 import itertools
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -112,6 +114,49 @@ def brute_pair_counts(k: int, n: int) -> tuple[int, int, int]:
             elif not has_left:
                 neither += 1
     return mutual, right, neither
+
+
+def reference_g_table(k: int, t: int, n_max: int) -> list[int]:
+    # g_t(m) = k^(m-2t) minus every completion whose shortest border, of
+    # length i in 2t..m/2, keeps the seed ends, summed from scratch
+    tbl = [0] * (2 * t)
+    for m in range(2 * t, n_max + 1):
+        bordered = sum(tbl[i] * k ** (m - 2 * i) for i in range(2 * t, m // 2 + 1))
+        tbl.append(k ** (m - 2 * t) - bordered)
+    return tbl
+
+
+def reference_pair_table(k: int, n_max: int) -> list[tuple[int, int, int]]:
+    """(M, R, U) for n = 1..n_max from the direct double and border sums.
+
+    Every sum is rebuilt from scratch for each length, so this is an
+    independent reference for CountCache's running recurrences.
+    """
+    u = [1]
+    for m in range(1, n_max + 1):
+        u.append(k * u[m - 1] - (u[m // 2] if m % 2 == 0 else 0))
+    g = {p: reference_g_table(k, p, n_max) for p in range(1, n_max // 3 + 1)}
+    rows: list[tuple[int, int, int]] = []
+    for j in range(1, n_max + 1):
+        close = sum(
+            u[a] * u[b] * k ** (2 * j - 2 * (a + b))
+            for a in range(1, j)
+            for b in range(1, j - a + 1)
+        )
+        far = sum(
+            (rows[p - 1][2] - u[p])
+            * sum(g[p][l] * g[p][j - l + p] for l in range(2 * p, j - p + 1))
+            for p in range(1, j // 3 + 1)
+        )
+        with_right = sum(u[i] * k ** (2 * j - 2 * i) for i in range(1, j))
+        mutual = close + far
+        right = with_right - mutual
+        rows.append((mutual, right, k ** (2 * j) - 2 * right - mutual))
+    return rows
+
+
+def pair_row(cache: CountCache, n: int) -> tuple[int, int, int]:
+    return cache.mutually_bordered(n), cache.right_bordered(n), cache.mutually_unbordered(n)
 
 
 def test_unbordered_frozen_values():
@@ -277,3 +322,66 @@ def test_invalid_inputs():
         g_count(2, 5, 4)
     with pytest.raises(InvalidInputError):
         expected_lso_finite(2, 0)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 10])
+def test_cache_matches_reference_sums(k):
+    cache = CountCache(k)
+    assert [pair_row(cache, n) for n in range(1, 61)] == reference_pair_table(k, 60)
+    for t in range(1, 21):
+        want = reference_g_table(k, t, 60)
+        assert [g_count(k, t, n, cache=cache) for n in range(t, 61)] == want[t:]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_cache_is_transparent_in_any_fill_order(k):
+    want = reference_pair_table(k, 60)
+    g_want = {t: reference_g_table(k, t, 60) for t in (1, 2, 5, 9)}
+
+    # g-tables grown past what the pair fill needs, before it starts
+    cache = CountCache(k)
+    for t in g_want:
+        assert g_count(k, t, 60, cache=cache) == g_want[t][60]
+    assert [pair_row(cache, n) for n in range(60, 0, -1)] == want[::-1]
+
+    # g asked after a partial pair fill, at lengths it has and has not reached
+    cache = CountCache(k)
+    assert pair_row(cache, 35) == want[34]
+    for t in g_want:
+        lengths = range(60, t - 1, -1)
+        assert [g_count(k, t, n, cache=cache) for n in lengths] == [g_want[t][n] for n in lengths]
+    assert pair_row(cache, 60) == want[59]
+
+    # a warm cache asked in scrambled order answers as a cold one does
+    warm = CountCache(k)
+    for n in (17, 3, 60, 41, 1, 59, 30):
+        assert pair_row(warm, n) == pair_row(CountCache(k), n) == want[n - 1]
+
+
+def test_shared_cache_across_threads():
+    cache = CountCache(2)
+    sizes = (80, 57, 71, 64)
+    results: dict[int, list] = {}
+    errors: list[Exception] = []
+
+    def fill(n_max):
+        try:
+            results[n_max] = [pair_row(cache, n) for n in range(n_max, 0, -1)]
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fill, args=(n,)) for n in sizes]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    for n_max in sizes:
+        cold = CountCache(2)
+        assert results[n_max] == [pair_row(cold, n) for n in range(n_max, 0, -1)]
