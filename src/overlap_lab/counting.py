@@ -73,6 +73,8 @@ class CountCache:
     def g(self, t: int, n: int) -> int:
         if t < 1 or n < t:
             raise InvalidInputError(f"need 1 <= t <= n, got t={t}, n={n}")
+        if n < 2 * t:
+            return 0
         with self._lock:
             return self._g_table_locked(t, n)[n]
 
@@ -105,7 +107,9 @@ class CountCache:
     def _g_table_locked(self, t: int, n: int) -> list[int]:
         # index by length: zero below 2t, too short to hold both ends of a
         # mutually unbordered pair, and one at 2t, the seed pair itself
-        tbl = self._g_tables.setdefault(t, [0] * (2 * t) + [1])
+        tbl = self._g_tables.get(t)
+        if tbl is None:
+            tbl = self._g_tables[t] = [0] * (2 * t) + [1]
         k = self.k
         while len(tbl) <= n:
             m = len(tbl)

@@ -1,12 +1,16 @@
 """Brute-force ground truth: exhaustive pair enumeration and verification.
 
-This module never touches the counting recurrences.  It walks every
-ordered pair of words directly, so its answers are trustworthy at small
-sizes and serve as the reference the closed-form counts are tested
-against.  Shortest overlaps are recomputed here from the definition
-(smallest l with suffix_l(u) == prefix_l(v)) rather than through the
-failure-chain machinery, except for the four-way census, which reuses the
-linear-time profile helper from wordcore.
+This module never touches the counting recurrences.  It classifies every
+ordered pair of words straight from the definitions, so its answers are
+trustworthy at small sizes and serve as the reference the closed-form
+counts are tested against.
+
+The enumeration is bit-parallel.  A length-n word v stands for its
+big-endian code, its index in itertools.product order, and a set of words
+is one Python int with a bit per code.  For a fixed u and length l, the v
+with prefix_l(v) == suffix_l(u) form a block of k^(n-l) consecutive codes
+and the v with suffix_l(v) == prefix_l(u) every k^l-th code.  Unions and
+differences of these sets over l classify u against all v at once.
 
 Every entry point that enumerates pairs refuses up front when the pair
 count exceeds the budget (DEFAULT_PAIR_BUDGET unless overridden), so a
@@ -16,16 +20,15 @@ typo cannot start a multi-day loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Callable
+from functools import cache, reduce
+from itertools import accumulate, islice, product
+from operator import or_
+from typing import Callable, Iterator
 
 from .errors import BudgetExceededError, InvalidInputError
-from .wordcore import Alphabet, Word, _overlap_lengths, _prefix_function
+from .wordcore import Alphabet, Word, _prefix_function
 
 DEFAULT_PAIR_BUDGET = 1 << 34
-
-# materialize the inner word list only when it is comfortably small
-_MATERIALIZE_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -91,16 +94,58 @@ def _shortest_overlap(u: tuple[int, ...], v: tuple[int, ...]) -> int:
 
 
 def _unbordered_checker() -> Callable[[tuple[int, ...]], bool]:
-    cache: dict[tuple[int, ...], bool] = {}
+    return cache(lambda w: _prefix_function(w)[-1] == 0)
 
-    def check(w: tuple[int, ...]) -> bool:
-        result = cache.get(w)
-        if result is None:
-            result = _prefix_function(w)[-1] == 0
-            cache[w] = result
-        return result
 
-    return check
+def _overlap_sets(k: int, m: int, n: int) -> Iterator[tuple[list[int], list[int]]]:
+    """Yield (right, left) for every length-m word u, in code order.
+
+    right[l] holds the length-n words v with suffix_l(u) == prefix_l(v) and
+    left[l] those with prefix_l(u) == suffix_l(v), for 1 <= l < min(m, n);
+    index 0 holds the empty set.
+    """
+    top = min(m, n)
+    power = [k**e for e in range(max(m, n) + 1)]
+    blocks = [(1 << power[n - l]) - 1 for l in range(top)]
+    strides = [((1 << power[n]) - 1) // ((1 << power[l]) - 1) for l in range(top)]
+    for code in range(power[m]):
+        right = [0] + [blocks[l] << (code % power[l]) * power[n - l] for l in range(1, top)]
+        left = [0] + [strides[l] << code // power[m - l] for l in range(1, top)]
+        yield right, left
+
+
+def _first_matches(sets: list[int], every: int) -> list[int]:
+    """first[l] = sets[l] minus all shorter sets; first[0] = in no set."""
+    within = list(accumulate(sets, or_))
+    return [every ^ within[-1]] + [sets[l] & ~within[l - 1] for l in range(1, len(sets))]
+
+
+def _members(bits: int) -> Iterator[int]:
+    """Codes in a bitset, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+def _verify(k: int, n: int, budget: int | None, cap: int, hits_of: Callable) -> ViolationReport:
+    """Keep the first violations in pair order: by u, v, then check rank.
+
+    hits_of(u, right, left, room) returns at least the room smallest of u's
+    violations as (code of v, rank, reason) triples.
+    """
+    _validate_kn(k, n)
+    ensure_within_budget(k ** (2 * n), budget)
+    alphabet = Alphabet(k)
+    words = list(product(range(k), repeat=n))
+    violations: list[tuple[Word, Word, str]] = []
+    for u, (right, left) in zip(words, _overlap_sets(k, n, n)):
+        room = cap - len(violations)
+        if room <= 0:
+            break
+        for v, _, reason in sorted(hits_of(u, right, left, room))[:room]:
+            violations.append((Word(u, alphabet), Word(words[v], alphabet), reason))
+    return ViolationReport(checked=k ** (2 * n), violations=tuple(violations))
 
 
 def enumerate_pair_census(
@@ -111,21 +156,14 @@ def enumerate_pair_census(
     if m < 1:
         raise InvalidInputError(f"length must be at least 1, got {m}")
     ensure_within_budget(k ** (m + n), budget)
-    mutual = right = left = neither = 0
-    inner = list(product(range(k), repeat=n)) if k**n <= _MATERIALIZE_LIMIT else None
-    for u in product(range(k), repeat=m):
-        for v in inner if inner is not None else product(range(k), repeat=n):
-            has_right = bool(_overlap_lengths(u, v, k))
-            has_left = bool(_overlap_lengths(v, u, k))
-            if has_right:
-                if has_left:
-                    mutual += 1
-                else:
-                    right += 1
-            elif has_left:
-                left += 1
-            else:
-                neither += 1
+    mutual = right = left = 0
+    for right_sets, left_sets in _overlap_sets(k, m, n):
+        has_right = reduce(or_, right_sets)
+        has_left = reduce(or_, left_sets)
+        both = (has_right & has_left).bit_count()
+        mutual += both
+        right += has_right.bit_count() - both
+        left += has_left.bit_count() - both
     return PairCensus(
         k=k,
         m=m,
@@ -133,7 +171,7 @@ def enumerate_pair_census(
         mutually_bordered=mutual,
         right_bordered=right,
         left_bordered=left,
-        mutually_unbordered=neither,
+        mutually_unbordered=k ** (m + n) - mutual - right - left,
     )
 
 
@@ -146,33 +184,22 @@ def verify_shortest_unbordered(
     suffix of u equals a prefix of v, the overlap word of length l must be
     unbordered if and only if l is the smallest such length.
     """
-    _validate_kn(k, n)
-    ensure_within_budget(k ** (2 * n), budget)
-    alphabet = Alphabet(k)
-    words = list(product(range(k), repeat=n))
     is_unb = _unbordered_checker()
-    violations: list[tuple[Word, Word, str]] = []
-    checked = 0
-    for u in words:
-        for v in words:
-            checked += 1
-            lengths = _overlap_lengths(u, v, k)
-            if not lengths:
-                continue
-            shortest = lengths[0]
-            for l in lengths:
-                if (l == shortest) == is_unb(v[:l]):
-                    continue
-                if len(violations) < violation_cap:
-                    side = (
-                        "shortest overlap is bordered"
-                        if l == shortest
-                        else "longer overlap is unbordered"
-                    )
-                    violations.append(
-                        (Word(u, alphabet), Word(v, alphabet), f"{side} at length {l}")
-                    )
-    return ViolationReport(checked=checked, violations=tuple(violations))
+
+    def hits_of(u: tuple[int, ...], right: list[int], _: list[int], room: int) -> list:
+        found = []
+        shorter = 0
+        for l in range(1, n):
+            # the overlap word is suffix_l(u) for the whole block
+            if is_unb(u[n - l :]):
+                side, bad = "longer overlap is unbordered", right[l] & shorter
+            else:
+                side, bad = "shortest overlap is bordered", right[l] & ~shorter
+            shorter |= right[l]
+            found += [(v, l, f"{side} at length {l}") for v in islice(_members(bad), room)]
+        return found
+
+    return _verify(k, n, budget, violation_cap, hits_of)
 
 
 def verify_decomposition(
@@ -188,98 +215,101 @@ def verify_decomposition(
       shape u = x s y t x, v = y t x s y with |x| = |y| = i + j - n,
       x != y, (x, y) mutually unbordered, and x s y, y t x unbordered.
     """
-    _validate_kn(k, n)
-    ensure_within_budget(k ** (2 * n), budget)
-    alphabet = Alphabet(k)
-    words = list(product(range(k), repeat=n))
     is_unb = _unbordered_checker()
+    every = (1 << k**n) - 1
     bound = 4 * n // 3
-    violations: list[tuple[Word, Word, str]] = []
-    checked = 0
 
-    def record(u: tuple[int, ...], v: tuple[int, ...], reason: str) -> None:
-        if len(violations) < violation_cap:
-            violations.append((Word(u, alphabet), Word(v, alphabet), reason))
+    def interleaved_fault(u: tuple[int, ...], v: tuple[int, ...], i: int, j: int) -> str | None:
+        if i + j > bound:
+            return f"overlap sum {i + j} exceeds floor(4n/3) = {bound}"
+        p = i + j - n
+        if i < 2 * p or j < 2 * p:
+            return f"interleaved case: ends of length {p} collide"
+        x, y, s, t = u[:p], v[:p], u[p : j - p], u[j : n - p]
+        shape_ok = (
+            u == x + s + y + t + x
+            and v == y + t + x + s + y
+            and x != y
+            and _shortest_overlap(x, y) == 0
+            and _shortest_overlap(y, x) == 0
+            and is_unb(x + s + y)
+            and is_unb(y + t + x)
+        )
+        return None if shape_ok else f"interleaved factorization failed for i={i}, j={j}"
 
-    for u in words:
-        for v in words:
-            checked += 1
-            right = _overlap_lengths(u, v, k)
-            if not right:
-                continue
-            left = _overlap_lengths(v, u, k)
-            if not left:
-                continue
-            i = right[0]
-            j = left[0]
-            if u[n - i :] != v[:i]:
-                record(u, v, f"length-{i} right-border does not match")
-                continue
-            if u[:j] != v[n - j :]:
-                record(u, v, f"length-{j} left-border does not match")
-                continue
-            if i + j <= n:
-                if not is_unb(v[:i]):
-                    record(u, v, f"disjoint case: so(u,v) of length {i} is bordered")
-                if not is_unb(u[:j]):
-                    record(u, v, f"disjoint case: so(v,u) of length {j} is bordered")
-                continue
-            if i + j > bound:
-                record(u, v, f"overlap sum {i + j} exceeds floor(4n/3) = {bound}")
-                continue
-            p = i + j - n
-            if i < 2 * p or j < 2 * p:
-                record(u, v, f"interleaved case: ends of length {p} collide")
-                continue
-            x = u[:p]
-            y = v[:p]
-            s = u[p : j - p]
-            t = u[j : n - p]
-            shape_ok = (
-                u == x + s + y + t + x
-                and v == y + t + x + s + y
-                and x != y
-                and _shortest_overlap(x, y) == 0
-                and _shortest_overlap(y, x) == 0
-                and is_unb(x + s + y)
-                and is_unb(y + t + x)
-            )
-            if not shape_ok:
-                record(u, v, f"interleaved factorization failed for i={i}, j={j}")
-    return ViolationReport(checked=checked, violations=tuple(violations))
+    def hits_of(u: tuple[int, ...], right: list[int], left: list[int], room: int) -> list:
+        first_right = _first_matches(right, every)
+        first_left = _first_matches(left, every)
+        # v with 1 <= lso(u, v) <= t, and v with 1 <= lso(v, u) <= t
+        right_within = list(accumulate(right, or_))
+        left_within = list(accumulate(left, or_))
+        found = []
+        for i in range(1, n):
+            # i + j <= n: so(u, v) = suffix_i(u), and so(v, u) = prefix_i(u) for j = i
+            if not is_unb(u[n - i :]):
+                reason = f"disjoint case: so(u,v) of length {i} is bordered"
+                bad = first_right[i] & left_within[n - i]
+                found += [(v, 0, reason) for v in islice(_members(bad), room)]
+            if not is_unb(u[:i]):
+                reason = f"disjoint case: so(v,u) of length {i} is bordered"
+                bad = first_left[i] & right_within[n - i]
+                found += [(v, 1, reason) for v in islice(_members(bad), room)]
+            # i + j > n: v = suffix_i(u) + the last n - i symbols of prefix_j(u)
+            for j in range(n - i + 1, n):
+                both = first_right[i] & first_left[j]
+                if both:
+                    reason = interleaved_fault(u, u[n - i :] + u[i + j - n : j], i, j)
+                    if reason is not None:
+                        found.append((both.bit_length() - 1, 0, reason))
+        return found
+
+    return _verify(k, n, budget, violation_cap, hits_of)
 
 
 def max_overlap_sum(k: int, n: int, *, budget: int | None = None) -> int:
     """Largest lso(u, v) + lso(v, u) over all pairs of length-n words.
 
-    The sum is symmetric under swapping u and v, so only unordered pairs
-    are scanned.  The result never exceeds floor(4n/3).
+    Per u, the largest i + j whose first-match sets (0: no overlap) share a
+    v.  The result never exceeds floor(4n/3).
     """
     _validate_kn(k, n)
     ensure_within_budget(k ** (2 * n), budget)
-    words = list(product(range(k), repeat=n))
+    every = (1 << k**n) - 1
     best = 0
-    for a, u in enumerate(words):
-        for b in range(a, len(words)):
-            v = words[b]
-            total = _shortest_overlap(u, v) + _shortest_overlap(v, u)
-            if total > best:
-                best = total
+    for right, left in _overlap_sets(k, n, n):
+        first_right = _first_matches(right, every)
+        first_left = _first_matches(left, every)
+        for i in range(n - 1, -1, -1):
+            for j in range(n - 1, max(best - i, -1), -1):
+                if first_right[i] & first_left[j]:
+                    best = i + j
+                    break
     return best
 
 
 def census_by_lso(k: int, n: int, *, budget: int | None = None) -> dict[int, int]:
     """Histogram of lso(u, v) over all ordered pairs of length-n words.
 
-    Keys run over 0..n-1 even when a bucket is empty.
+    Keys run over 0..n-1 even when a bucket is empty.  The v that u first
+    overlaps at length l depend only on suffix_l(u), so the walk runs over
+    suffixes, each standing for the k^(n-l) words u that end with it.
     """
     _validate_kn(k, n)
     ensure_within_budget(k ** (2 * n), budget)
-    words = list(product(range(k), repeat=n))
+    power = [k**e for e in range(n + 1)]
     histogram = {i: 0 for i in range(n)}
-    for u in words:
-        for v in words:
-            histogram[_shortest_overlap(u, v)] += 1
+    # (l, code of a length-l suffix, the v it overlaps at a length <= l, their count)
+    stack = [(0, 0, 0, 0)] if n > 1 else []
+    while stack:
+        l, code, seen, before = stack.pop()
+        width = power[n - l - 1]
+        for longer in range(code, power[l + 1], power[l]):  # one symbol prepended
+            grown = seen | ((1 << width) - 1) << longer * width
+            now = grown.bit_count()
+            histogram[l + 1] += (now - before) * width
+            if l + 2 < n:
+                stack.append((l + 1, longer, grown, now))
+    histogram[0] = k ** (2 * n) - sum(histogram.values())
     return histogram
 
 

@@ -8,6 +8,7 @@ neutral referee for the closed-form recurrences.
 import itertools
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -331,6 +332,24 @@ def test_cache_matches_reference_sums(k):
     for t in range(1, 21):
         want = reference_g_table(k, t, 60)
         assert [g_count(k, t, n, cache=cache) for n in range(t, 61)] == want[t:]
+
+
+def test_g_below_twice_t_builds_no_table():
+    # n < 2t leaves no room for both ends, so the answer is 0 without a
+    # table.  The small case runs first: building a 2t-entry zero prefix
+    # peaks at 6.4 MB there, and would need about 16 GB at t = 10^9.
+    cache = CountCache(2)
+    tracemalloc.start()
+    try:
+        assert g_count(2, 200_000, 200_000, cache=cache) == 0
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        assert g_count(2, 10**9, 10**9, cache=cache) == 0
+        assert g_count(2, 5, 9, cache=cache) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert g_count(2, 5, 10, cache=cache) == 1
 
 
 @pytest.mark.parametrize("k", [2, 3])
