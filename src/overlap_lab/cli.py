@@ -11,10 +11,25 @@ Word text comes in three shapes: a digit string for alphabets up to 10
 symbols, comma-separated decimal symbols above that, and lowercase a-z
 (mapped to 0..25) behind --letters.
 
+Each cmd_* function computes its answer once and returns a Result: its
+typed (header, rows) tables, the other fields of its JSON document, and
+a plain-text renderer for the human layout.  main renders only the
+format that was asked for, and each format is written in one place:
+
+* csv prints the tables in order, with a blank line between blocks.  A
+  None cell is empty, a bool is true/false and a tuple is space-joined.
+* json prints one document with sorted keys: schema_version, command
+  and the result's fields, where a table becomes a list of records
+  dict(zip(header, row)).  Every integer past 2^53, where double-based
+  parsers lose precision, is written as a decimal string, wherever it
+  occurs.  In both formats a fraction is written "numerator/denominator".
+* plain calls the result's renderer.
+
 Exit codes: 0 success, 1 an oracle check found violations, 2 usage or
 parse errors, 3 enumeration budget exceeded, 4 requested precision not
-certifiable with the given number of series terms.  The pair budget
-defaults to 2^34 and can be overridden through OVERLAP_LAB_BUDGET.
+certifiable with the given number of series terms.  main is the one
+place that maps errors to exit codes.  The pair budget defaults to 2^34
+and can be overridden through OVERLAP_LAB_BUDGET.
 """
 
 from __future__ import annotations
@@ -24,7 +39,9 @@ import csv
 import json
 import os
 import sys
+from collections.abc import Callable
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import counting
 from .asymptotics import QUANTITIES, limit_report
@@ -50,7 +67,7 @@ SCHEMA_VERSION = 1
 BUDGET_ENV_VAR = "OVERLAP_LAB_BUDGET"
 
 # JSON numbers above this lose integer precision in double-based parsers,
-# so bigger counts are emitted as decimal strings
+# so bigger integers are emitted as decimal strings
 _JSON_INT_LIMIT = 1 << 53
 
 _QUANTITY_ORDER = ("M", "R", "U", "u")
@@ -107,47 +124,95 @@ def render_word(word: Word, *, letters: bool = False) -> str:
     return ",".join(str(sym) for sym in word.symbols)
 
 
-def _json_count(value: int):
-    return value if -_JSON_INT_LIMIT <= value <= _JSON_INT_LIMIT else str(value)
+class Table(NamedTuple):
+    """One block of CSV rows; in JSON, a list of dict(zip(header, row))."""
+
+    header: tuple[str, ...]
+    rows: list[tuple]
+
+
+class Result(NamedTuple):
+    """A command's answer, computed once and rendered in any format."""
+
+    tables: list[Table]
+    fields: dict
+    plain: Callable[[], None]
+    violated: bool = False
+
+
+class UncertifiedPrecisionError(Exception):
+    """The series terms are too few to certify the requested precision."""
 
 
 def _frac_text(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _emit_json(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=True))
+def _csv_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return " ".join(map(str, value))
+    if isinstance(value, Fraction):
+        return _frac_text(value)
+    return value
 
 
-def _emit_csv(header: list[str], rows: list[list]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def _json_value(value):
+    limit = _JSON_INT_LIMIT
+    if type(value) is int:
+        return value if -limit <= value <= limit else str(value)
+    if isinstance(value, Table):
+        return [dict(zip(value.header, map(_json_value, row))) for row in value.rows]
+    if isinstance(value, dict):
+        return {str(key): _json_value(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        # a periodic word has about 5*10^4 border lengths: test them in bulk
+        ints = set(map(type, value)) == {int}
+        if ints and -limit <= min(value) and max(value) <= limit:
+            return list(value)
+        return list(map(_json_value, value))
+    if isinstance(value, Fraction):
+        return _frac_text(value)
+    return value
 
 
-def _print_table(header: list[str], rows: list[list]) -> None:
+def _emit(result: Result, fmt: str, command: str) -> None:
+    if fmt == "json":
+        doc = {"schema_version": SCHEMA_VERSION, "command": command, **result.fields}
+        print(json.dumps(_json_value(doc), sort_keys=True))
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        for index, (header, rows) in enumerate(result.tables):
+            if index:
+                print()
+            writer.writerow(header)
+            writer.writerows(map(_csv_cell, row) for row in rows)
+    else:
+        result.plain()
+
+
+def _print_table(header, rows) -> None:
     cells = [list(map(str, header))] + [list(map(str, row)) for row in rows]
     widths = [max(len(row[c]) for row in cells) for c in range(len(header))]
     for row in cells:
         print("  ".join(text.rjust(width) for text, width in zip(row, widths)).rstrip())
 
 
-def _parse_quantities(text: str) -> tuple[str, ...]:
-    items = [part.strip() for part in text.split(",") if part.strip()]
-    if not items or any(item not in _QUANTITY_ORDER for item in items):
-        raise argparse.ArgumentTypeError(
-            "quantities must be a non-empty subset of M,R,U,u"
-        )
-    return tuple(q for q in _QUANTITY_ORDER if q in items)
+def _subset(name: str, order: tuple[str, ...]) -> Callable[[str], tuple[str, ...]]:
+    """An argparse type: a comma-separated subset of order, in that order."""
 
+    def parse(text: str) -> tuple[str, ...]:
+        items = [part.strip() for part in text.split(",") if part.strip()]
+        if not items or any(item not in order for item in items):
+            raise argparse.ArgumentTypeError(
+                f"{name} must be a non-empty subset of {','.join(order)}"
+            )
+        return tuple(item for item in order if item in items)
 
-def _parse_checks(text: str) -> tuple[str, ...]:
-    items = [part.strip() for part in text.split(",") if part.strip()]
-    if not items or any(item not in _CHECK_ORDER for item in items):
-        raise argparse.ArgumentTypeError(
-            "checks must be a non-empty subset of census,lemmas,fourthirds,lso-histogram"
-        )
-    return tuple(c for c in _CHECK_ORDER if c in items)
+    return parse
 
 
 def _budget_from_env() -> int | None:
@@ -165,7 +230,13 @@ def _budget_from_env() -> int | None:
     return value
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+_ANALYZE_HEADER = (
+    "u", "v", "pair_class", "right_border_lengths", "left_border_lengths",
+    "so_uv", "lso_uv", "so_vu", "lso_vu",
+)
+
+
+def cmd_analyze(args: argparse.Namespace) -> Result:
     letters = args.letters
     k = 26 if letters else args.k
     u = parse_word(args.u, k, letters=letters)
@@ -175,316 +246,73 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     def text(word: Word | None) -> str | None:
         return None if word is None else render_word(word, letters=letters)
 
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "analyze",
-                "k": k,
-                "letters": letters,
-                "u": render_word(u, letters=letters),
-                "v": render_word(v, letters=letters),
-                "pair_class": profile.pair_class.value,
-                "right_border_lengths": list(profile.right_border_lengths),
-                "left_border_lengths": list(profile.left_border_lengths),
-                "so_uv": text(profile.so_uv),
-                "lso_uv": profile.lso_uv,
-                "so_vu": text(profile.so_vu),
-                "lso_vu": profile.lso_vu,
-            }
-        )
-    elif args.format == "csv":
-        _emit_csv(
-            [
-                "u",
-                "v",
-                "pair_class",
-                "right_border_lengths",
-                "left_border_lengths",
-                "so_uv",
-                "lso_uv",
-                "so_vu",
-                "lso_vu",
-            ],
-            [
-                [
-                    render_word(u, letters=letters),
-                    render_word(v, letters=letters),
-                    profile.pair_class.value,
-                    " ".join(map(str, profile.right_border_lengths)),
-                    " ".join(map(str, profile.left_border_lengths)),
-                    text(profile.so_uv) or "",
-                    profile.lso_uv,
-                    text(profile.so_vu) or "",
-                    profile.lso_vu,
-                ]
-            ],
-        )
-    else:
+    row = (
+        text(u),
+        text(v),
+        profile.pair_class.value,
+        profile.right_border_lengths,
+        profile.left_border_lengths,
+        text(profile.so_uv),
+        profile.lso_uv,
+        text(profile.so_vu),
+        profile.lso_vu,
+    )
+
+    def plain() -> None:
         def lengths_text(lengths: tuple[int, ...]) -> str:
             return " ".join(map(str, lengths)) if lengths else "none"
 
-        print(f"u: {render_word(u, letters=letters)}")
-        print(f"v: {render_word(v, letters=letters)}")
-        print(f"class: {profile.pair_class.value}")
-        print(f"right-border lengths: {lengths_text(profile.right_border_lengths)}")
-        print(f"left-border lengths: {lengths_text(profile.left_border_lengths)}")
-        print(f"so(u,v): {text(profile.so_uv) or 'none'}  lso(u,v): {profile.lso_uv}")
-        print(f"so(v,u): {text(profile.so_vu) or 'none'}  lso(v,u): {profile.lso_vu}")
-    return EXIT_OK
+        u_text, v_text, pair_class, right, left, so_uv, lso_uv, so_vu, lso_vu = row
+        print(f"u: {u_text}")
+        print(f"v: {v_text}")
+        print(f"class: {pair_class}")
+        print(f"right-border lengths: {lengths_text(right)}")
+        print(f"left-border lengths: {lengths_text(left)}")
+        print(f"so(u,v): {so_uv or 'none'}  lso(u,v): {lso_uv}")
+        print(f"so(v,u): {so_vu or 'none'}  lso(v,u): {lso_vu}")
+
+    fields = {"k": k, "letters": letters, **dict(zip(_ANALYZE_HEADER, row))}
+    return Result([Table(_ANALYZE_HEADER, [row])], fields, plain)
 
 
-def cmd_count(args: argparse.Namespace) -> int:
+def cmd_count(args: argparse.Namespace) -> Result:
     if args.n_max < 1:
         raise InvalidInputError(f"--n must be at least 1, got {args.n_max}")
-    k = args.k
+    k, quantities = args.k, args.quantities
     cache = CountCache(k)
-    getters = {
-        "M": lambda n: counting.mutually_bordered_count(k, n, cache=cache),
-        "R": lambda n: counting.right_bordered_count(k, n, cache=cache),
-        "U": lambda n: counting.mutually_unbordered_count(k, n, cache=cache),
-        "u": lambda n: counting.unbordered_count(k, n, cache=cache),
+    counts = {
+        "M": counting.mutually_bordered_count,
+        "R": counting.right_bordered_count,
+        "U": counting.mutually_unbordered_count,
+        "u": counting.unbordered_count,
     }
-    quantities = args.quantities
-    rows = [
-        [n] + [getters[q](n) for q in quantities] for n in range(1, args.n_max + 1)
-    ]
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "count",
-                "k": k,
-                "n_max": args.n_max,
-                "quantities": list(quantities),
-                "rows": [
-                    {
-                        "n": row[0],
-                        **{q: _json_count(val) for q, val in zip(quantities, row[1:])},
-                    }
-                    for row in rows
-                ],
-            }
-        )
-    elif args.format == "csv":
-        _emit_csv(["n", *quantities], rows)
-    else:
-        _print_table(["n", *quantities], rows)
-    return EXIT_OK
+    table = Table(
+        ("n", *quantities),
+        [
+            (n, *(counts[q](k, n, cache=cache) for q in quantities))
+            for n in range(1, args.n_max + 1)
+        ],
+    )
+    fields = {"k": k, "n_max": args.n_max, "quantities": quantities, "rows": table}
+    return Result([table], fields, lambda: _print_table(*table))
 
 
 _CENSUS_FIELDS = (
-    "mutually_bordered",
-    "right_bordered",
-    "left_bordered",
-    "mutually_unbordered",
+    "mutually_bordered", "right_bordered", "left_bordered", "mutually_unbordered"
+)
+_CENSUS_TITLES = (
+    ("mutually_bordered", "mutually bordered pairs"),
+    ("right_bordered", "right-bordered pairs"),
+    ("mutually_unbordered", "mutually unbordered pairs"),
 )
 
 
-def _run_oracle_checks(
-    k: int, m_max: int, n_range: range, checks: tuple[str, ...], budget: int | None
-) -> tuple[dict, bool]:
-    results: dict = {}
-    violated = False
-    if "census" in checks:
-        results["census"] = [
-            enumerate_pair_census(k, m, n, budget=budget)
-            for m in range(1, m_max + 1)
-            for n in n_range
-        ]
-    if "lemmas" in checks:
-        entries = []
-        for n in n_range:
-            short = verify_shortest_unbordered(k, n, budget=budget)
-            decomp = verify_decomposition(k, n, budget=budget)
-            violated = violated or not short.ok or not decomp.ok
-            entries.append((n, short, decomp))
-        results["lemmas"] = entries
-    if "fourthirds" in checks:
-        entries = []
-        for n in n_range:
-            observed = max_overlap_sum(k, n, budget=budget)
-            bound = 4 * n // 3
-            violated = violated or observed > bound
-            entries.append((n, observed, bound))
-        results["fourthirds"] = entries
-    if "lso-histogram" in checks:
-        cache = CountCache(k)
-        entries = []
-        for n in n_range:
-            histogram = census_by_lso(k, n, budget=budget)
-            expected = {i: counting.s_count(k, i, n, cache=cache) for i in range(1, n)}
-            expected[0] = k ** (2 * n) - sum(expected.values())
-            mismatches = sorted(i for i in histogram if histogram[i] != expected[i])
-            violated = violated or bool(mismatches)
-            entries.append((n, histogram, expected, mismatches))
-        results["lso-histogram"] = entries
-    return results, violated
-
-
-def _print_oracle_plain(results: dict) -> None:
-    if "census" in results:
-        censuses = results["census"]
-        m_values = sorted({c.m for c in censuses})
-        n_values = sorted({c.n for c in censuses})
-        by_mn = {(c.m, c.n): c for c in censuses}
-        titles = (
-            ("mutually_bordered", "mutually bordered pairs"),
-            ("right_bordered", "right-bordered pairs"),
-            ("mutually_unbordered", "mutually unbordered pairs"),
-        )
-        for field, title in titles:
-            print(f"{title}, rows m, columns n:")
-            header = [""] + [f"n={n}" for n in n_values]
-            rows = [
-                [f"m={m}"] + [getattr(by_mn[(m, n)], field) for n in n_values]
-                for m in m_values
-            ]
-            _print_table(header, rows)
-            print()
-    if "lemmas" in results:
-        for n, short, decomp in results["lemmas"]:
-            for label, report in (
-                ("shortest-overlap-unbordered", short),
-                ("decomposition", decomp),
-            ):
-                print(
-                    f"n={n} {label}: checked={report.checked} "
-                    f"violations={len(report.violations)}"
-                )
-                for u, v, reason in report.violations:
-                    print(f"  u={render_word(u)} v={render_word(v)}: {reason}")
-    if "fourthirds" in results:
-        for n, observed, bound in results["fourthirds"]:
-            verdict = "ok" if observed <= bound else "VIOLATION"
-            print(f"n={n} max overlap sum {observed} bound {bound}: {verdict}")
-    if "lso-histogram" in results:
-        for n, histogram, _expected, mismatches in results["lso-histogram"]:
-            body = " ".join(f"{i}:{histogram[i]}" for i in sorted(histogram))
-            verdict = "ok" if not mismatches else f"MISMATCH at {mismatches}"
-            print(f"n={n} lso histogram {body} recurrence {verdict}")
-
-
-def _print_oracle_csv(results: dict) -> None:
-    blocks: list[tuple[list[str], list[list]]] = []
-    if "census" in results:
-        blocks.append(
-            (
-                ["m", "n", *_CENSUS_FIELDS],
-                [
-                    [c.m, c.n] + [getattr(c, f) for f in _CENSUS_FIELDS]
-                    for c in results["census"]
-                ],
-            )
-        )
-    if "lemmas" in results:
-        rows = []
-        for n, short, decomp in results["lemmas"]:
-            rows.append(
-                ["shortest-overlap-unbordered", n, short.checked, len(short.violations)]
-            )
-            rows.append(["decomposition", n, decomp.checked, len(decomp.violations)])
-        blocks.append((["check", "n", "checked", "violations"], rows))
-    if "fourthirds" in results:
-        blocks.append(
-            (
-                ["n", "max_overlap_sum", "bound", "ok"],
-                [
-                    [n, observed, bound, str(observed <= bound).lower()]
-                    for n, observed, bound in results["fourthirds"]
-                ],
-            )
-        )
-    if "lso-histogram" in results:
-        rows = []
-        for n, histogram, expected, _mismatches in results["lso-histogram"]:
-            for i in sorted(histogram):
-                rows.append(
-                    [
-                        n,
-                        i,
-                        histogram[i],
-                        expected[i],
-                        str(histogram[i] == expected[i]).lower(),
-                    ]
-                )
-        blocks.append((["n", "lso", "pairs", "expected", "ok"], rows))
-    for index, (header, rows) in enumerate(blocks):
-        if index:
-            print()
-        _emit_csv(header, rows)
-
-
-def _oracle_json_doc(k: int, checks: tuple[str, ...], results: dict) -> dict:
-    payload: dict = {}
-    if "census" in results:
-        payload["census"] = [
-            {
-                "m": c.m,
-                "n": c.n,
-                **{f: _json_count(getattr(c, f)) for f in _CENSUS_FIELDS},
-            }
-            for c in results["census"]
-        ]
-    if "lemmas" in results:
-        entries = []
-        for n, short, decomp in results["lemmas"]:
-            for label, report in (
-                ("shortest-overlap-unbordered", short),
-                ("decomposition", decomp),
-            ):
-                entries.append(
-                    {
-                        "check": label,
-                        "n": n,
-                        "checked": _json_count(report.checked),
-                        "violation_count": len(report.violations),
-                        "violations": [
-                            {"u": render_word(u), "v": render_word(v), "reason": reason}
-                            for u, v, reason in report.violations
-                        ],
-                    }
-                )
-        payload["lemmas"] = entries
-    if "fourthirds" in results:
-        payload["fourthirds"] = [
-            {
-                "n": n,
-                "max_overlap_sum": observed,
-                "bound": bound,
-                "ok": observed <= bound,
-            }
-            for n, observed, bound in results["fourthirds"]
-        ]
-    if "lso-histogram" in results:
-        payload["lso-histogram"] = [
-            {
-                "n": n,
-                "histogram": {str(i): _json_count(histogram[i]) for i in histogram},
-                "expected": {str(i): _json_count(expected[i]) for i in expected},
-                "ok": not mismatches,
-            }
-            for n, histogram, expected, mismatches in results["lso-histogram"]
-        ]
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "oracle",
-        "k": k,
-        "checks": list(checks),
-        "results": payload,
-    }
-
-
-def cmd_oracle(args: argparse.Namespace) -> int:
-    if args.k < 1:
-        raise InvalidInputError(f"--k must be at least 1, got {args.k}")
-    if args.n_max < 1:
-        raise InvalidInputError(f"--n must be at least 1, got {args.n_max}")
-    m_max = args.m_max if args.m_max is not None else args.n_max
-    if m_max < 1:
-        raise InvalidInputError(f"--m must be at least 1, got {m_max}")
-    k = args.k
-    checks = args.checks
+def cmd_oracle(args: argparse.Namespace) -> Result:
+    m_max = args.n_max if args.m_max is None else args.m_max
+    for flag, value in (("--k", args.k), ("--n", args.n_max), ("--m", m_max)):
+        if value < 1:
+            raise InvalidInputError(f"{flag} must be at least 1, got {value}")
+    k, checks, n_range = args.k, args.checks, range(1, args.n_max + 1)
     budget = _budget_from_env()
 
     # refuse deterministically before any output if the largest requested
@@ -496,19 +324,104 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         largest = max(largest, k ** (2 * args.n_max))
     ensure_within_budget(largest, budget)
 
-    results, violated = _run_oracle_checks(
-        k, m_max, range(1, args.n_max + 1), checks, budget
+    tables: list[Table] = []
+    results: dict[str, Table] = {}
+    censuses, lemmas, fourthirds, histograms = [], [], [], []
+    if "census" in checks:
+        censuses = [
+            enumerate_pair_census(k, m, n, budget=budget)
+            for m in range(1, m_max + 1)
+            for n in n_range
+        ]
+        results["census"] = Table(
+            ("m", "n", *_CENSUS_FIELDS),
+            [(c.m, c.n, *(getattr(c, f) for f in _CENSUS_FIELDS)) for c in censuses],
+        )
+        tables.append(results["census"])
+    if "lemmas" in checks:
+        for n in n_range:
+            for label, verify in (
+                ("shortest-overlap-unbordered", verify_shortest_unbordered),
+                ("decomposition", verify_decomposition),
+            ):
+                report = verify(k, n, budget=budget)
+                violations = [
+                    (render_word(u), render_word(v), why)
+                    for u, v, why in report.violations
+                ]
+                row = (label, n, report.checked, len(violations))
+                lemmas.append((*row, Table(("u", "v", "reason"), violations)))
+        results["lemmas"] = Table(
+            ("check", "n", "checked", "violation_count", "violations"), lemmas
+        )
+        tables.append(
+            Table(("check", "n", "checked", "violations"), [r[:4] for r in lemmas])
+        )
+    if "fourthirds" in checks:
+        for n in n_range:
+            observed, bound = max_overlap_sum(k, n, budget=budget), 4 * n // 3
+            fourthirds.append((n, observed, bound, observed <= bound))
+        results["fourthirds"] = Table(
+            ("n", "max_overlap_sum", "bound", "ok"), fourthirds
+        )
+        tables.append(results["fourthirds"])
+    if "lso-histogram" in checks:
+        cache = CountCache(k)
+        for n in n_range:
+            histogram = census_by_lso(k, n, budget=budget)
+            expected = {i: counting.s_count(k, i, n, cache=cache) for i in range(1, n)}
+            expected[0] = k ** (2 * n) - sum(expected.values())
+            mismatches = sorted(i for i in histogram if histogram[i] != expected[i])
+            histograms.append((n, histogram, expected, mismatches))
+        results["lso-histogram"] = Table(
+            ("n", "histogram", "expected", "ok"),
+            [(n, hist, want, not bad) for n, hist, want, bad in histograms],
+        )
+        tables.append(
+            Table(
+                ("n", "lso", "pairs", "expected", "ok"),
+                [
+                    (n, i, hist[i], want[i], hist[i] == want[i])
+                    for n, hist, want, _ in histograms
+                    for i in sorted(hist)
+                ],
+            )
+        )
+
+    def plain() -> None:
+        by_mn = {(c.m, c.n): c for c in censuses}
+        for field, title in _CENSUS_TITLES if censuses else ():
+            print(f"{title}, rows m, columns n:")
+            _print_table(
+                ["", *(f"n={n}" for n in n_range)],
+                [
+                    [f"m={m}", *(getattr(by_mn[m, n], field) for n in n_range)]
+                    for m in range(1, m_max + 1)
+                ],
+            )
+            print()
+        for label, n, checked, count, violations in lemmas:
+            print(f"n={n} {label}: checked={checked} violations={count}")
+            for u, v, reason in violations.rows:
+                print(f"  u={u} v={v}: {reason}")
+        for n, observed, bound, ok in fourthirds:
+            verdict = "ok" if ok else "VIOLATION"
+            print(f"n={n} max overlap sum {observed} bound {bound}: {verdict}")
+        for n, histogram, _, mismatches in histograms:
+            body = " ".join(f"{i}:{histogram[i]}" for i in sorted(histogram))
+            verdict = f"MISMATCH at {mismatches}" if mismatches else "ok"
+            print(f"n={n} lso histogram {body} recurrence {verdict}")
+
+    violated = (
+        any(count for _, _, _, count, _ in lemmas)
+        or not all(ok for *_, ok in fourthirds)
+        or any(mismatches for *_, mismatches in histograms)
     )
-    if args.format == "json":
-        _emit_json(_oracle_json_doc(k, checks, results))
-    elif args.format == "csv":
-        _print_oracle_csv(results)
-    else:
-        _print_oracle_plain(results)
-    return EXIT_VIOLATIONS if violated else EXIT_OK
+    fields = {"k": k, "checks": checks, "results": results}
+    return Result(tables, fields, plain, violated)
 
 
-def cmd_limits(args: argparse.Namespace) -> int:
+def cmd_limits(args: argparse.Namespace) -> Result:
     if args.terms < 1:
         raise InvalidInputError(f"--terms must be at least 1, got {args.terms}")
     if args.precision < 0:
@@ -520,54 +433,23 @@ def cmd_limits(args: argparse.Namespace) -> int:
     ]
     uncertified = [r.quantity for r in reports if not r.certified]
     if uncertified:
-        print(
-            f"error: {args.terms} terms cannot certify {args.precision} decimal "
-            f"places for {', '.join(uncertified)}; rerun with a larger --terms",
-            file=sys.stderr,
+        raise UncertifiedPrecisionError(
+            f"{args.terms} terms cannot certify {args.precision} decimal "
+            f"places for {', '.join(uncertified)}; rerun with a larger --terms"
         )
-        return EXIT_PRECISION
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "limits",
-                "k": args.k,
-                "terms": args.terms,
-                "precision": args.precision,
-                "reports": [
-                    {
-                        "quantity": r.quantity,
-                        "decimal": r.decimal,
-                        "lo": _frac_text(r.interval.lo),
-                        "hi": _frac_text(r.interval.hi),
-                    }
-                    for r in reports
-                ],
-            }
-        )
-    elif args.format == "csv":
-        _emit_csv(
-            ["quantity", "decimal", "lo", "hi"],
-            [
-                [r.quantity, r.decimal, _frac_text(r.interval.lo), _frac_text(r.interval.hi)]
-                for r in reports
-            ],
-        )
-    else:
+    table = Table(
+        ("quantity", "decimal", "lo", "hi"),
+        [(r.quantity, r.decimal, r.interval.lo, r.interval.hi) for r in reports],
+    )
+
+    def plain() -> None:
         print(f"k={args.k} terms={args.terms} precision={args.precision}")
         width = max(len(q) for q in QUANTITIES)
         for r in reports:
             print(f"{r.quantity.ljust(width)}  {r.decimal}")
-    return EXIT_OK
 
-
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format",
-        choices=("plain", "csv", "json"),
-        default="plain",
-        help="output format (default plain)",
-    )
+    fields = dict(k=args.k, terms=args.terms, precision=args.precision, reports=table)
+    return Result([table], fields, plain)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -591,7 +473,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="read words as lowercase a-z over the 26-letter alphabet",
     )
-    _add_format(pa)
     pa.set_defaults(func=cmd_analyze)
 
     pc = sub.add_parser("count", help="exact pair counts from the recurrences")
@@ -601,11 +482,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     pc.add_argument(
         "--quantities",
-        type=_parse_quantities,
+        type=_subset("quantities", _QUANTITY_ORDER),
         default=("M", "R", "U"),
         help="comma-separated subset of M,R,U,u (default M,R,U)",
     )
-    _add_format(pc)
     pc.set_defaults(func=cmd_count)
 
     po = sub.add_parser("oracle", help="exhaustive enumeration and structural checks")
@@ -622,11 +502,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     po.add_argument(
         "--checks",
-        type=_parse_checks,
+        type=_subset("checks", _CHECK_ORDER),
         default=("census",),
         help="comma-separated subset of census,lemmas,fourthirds,lso-histogram",
     )
-    _add_format(po)
     po.set_defaults(func=cmd_oracle)
 
     pl = sub.add_parser("limits", help="certified limiting constants")
@@ -635,9 +514,22 @@ def _build_parser() -> argparse.ArgumentParser:
     pl.add_argument(
         "--precision", type=int, default=3, help="decimal places to certify (default 3)"
     )
-    _add_format(pl)
     pl.set_defaults(func=cmd_limits)
+    for command in (pa, pc, po, pl):
+        command.add_argument(
+            "--format",
+            choices=("plain", "csv", "json"),
+            default="plain",
+            help="output format (default plain)",
+        )
     return parser
+
+
+_ERROR_EXITS = {
+    InvalidInputError: EXIT_USAGE,
+    BudgetExceededError: EXIT_BUDGET,
+    UncertifiedPrecisionError: EXIT_PRECISION,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -652,13 +544,12 @@ def main(argv: list[str] | None = None) -> int:
     if old_cap is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
-    except InvalidInputError as exc:
+        result = args.func(args)
+        _emit(result, args.format, args.command)
+        return EXIT_VIOLATIONS if result.violated else EXIT_OK
+    except tuple(_ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return _ERROR_EXITS[type(exc)]
     finally:
         if old_cap is not None:
             sys.set_int_max_str_digits(old_cap)

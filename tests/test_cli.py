@@ -329,3 +329,13 @@ def test_unknown_subcommand(capsys):
     assert code == EXIT_USAGE
     code, _, _ = run(capsys)
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("k,k_text", [(2**53, 2**53), (2**53 + 1, str(2**53 + 1))])
+def test_json_writes_every_int_past_2_53_as_a_string(capsys, k, k_text):
+    # a double-based parser reads 2^53 + 1 as 2^53, so k travels as text too
+    code, out, _ = run(capsys, "count", "--k", str(k), "--n", "2", "--format", "json")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["k"] == k_text
+    assert doc["rows"][0] == {"n": 1, "M": 0, "R": 0, "U": str(k**2)}
