@@ -24,6 +24,18 @@ E = sum_{i >= 1} i * u_i * k^(-2i), with tail at most
 k^(-terms) * (k*(terms+1) - terms) / (k - 1)^2 by the same u_i <= k^i
 bound applied to the weighted geometric series.
 
+The lower ends of the T and E brackets are finite-length counts, so this
+module only adds tail bounds and applies maps.  By the bordered-word
+identity, T's first `terms` terms are the bordered share
+bordered_count(k, 2*terms) / k^(2*terms); E's are the mean lso at length
+terms + 1, expected_lso_finite(k, terms + 1).
+
+Bracket invariant: the T bracket [a, b] lies in [1/2, 1] for k = 2 and in
+[0, 1/2] for k >= 3.  For k = 2, a >= u_1/4 = 1/2 and b = 1 - u_(2t)/4^t
++ 2^(-t) <= 1, as u_n/2^n is 1/2 at n = 2 and then above 1 - T > 1/4.  For
+k >= 3, b <= sum_i k^i * k^(-2i) = 1/(k - 1).  So a, b and 1 - b are not
+negative, and t - t^2 is monotone on the bracket.
+
 All brackets are exact rationals.  Decimal strings are produced only when
 the bracket is narrower than half an ulp at the requested precision, so
 every printed digit is certified; otherwise the report carries no decimal
@@ -35,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counting import CountCache, _resolve_cache
+from .counting import CountCache, bordered_count, expected_lso_finite, unbordered_count
 from .errors import InvalidInputError
 
 
@@ -89,65 +101,44 @@ def _validate(k: int, terms: int) -> None:
         raise InvalidInputError(f"need at least one series term, got {terms}")
 
 
-def _partial_sum(k: int, terms: int, cache: CountCache, *, weighted: bool) -> Fraction:
-    # sum of u_i / k^(2i) (or i*u_i / k^(2i)) for i = 1..terms, built over
-    # the common denominator k^(2*terms)
-    numerator = 0
-    kk = k * k
-    for i in range(1, terms + 1):
-        u_i = cache.unbordered(i)
-        numerator = numerator * kk + (i * u_i if weighted else u_i)
-    return Fraction(numerator, k ** (2 * terms))
-
-
-def _t_bracket(k: int, terms: int, cache: CountCache) -> tuple[Fraction, Fraction]:
-    lo = _partial_sum(k, terms, cache, weighted=False)
+def _t_bracket(k: int, terms: int, cache: CountCache | None) -> tuple[Fraction, Fraction]:
+    # the first `terms` terms of T are the bordered share at length 2*terms
+    lo = Fraction(bordered_count(k, 2 * terms, cache=cache), k ** (2 * terms))
     return lo, lo + Fraction(1, (k - 1) * k**terms)
-
-
-def _square_interval(lo: Fraction, hi: Fraction) -> RatInterval:
-    if lo >= 0:
-        return RatInterval(lo * lo, hi * hi)
-    if hi <= 0:
-        return RatInterval(hi * hi, lo * lo)
-    return RatInterval(Fraction(0), max(lo * lo, hi * hi))
 
 
 def limit_M(k: int, terms: int, *, cache: CountCache | None = None) -> RatInterval:
     """Bracket for the limiting density of mutually bordered pairs, T^2."""
     _validate(k, terms)
-    a, b = _t_bracket(k, terms, _resolve_cache(k, cache))
-    return _square_interval(a, b)
+    a, b = _t_bracket(k, terms, cache)
+    return RatInterval(a * a, b * b)
 
 
 def limit_R(k: int, terms: int, *, cache: CountCache | None = None) -> RatInterval:
     """Bracket for the limiting density of right-bordered pairs, T - T^2.
 
-    The map t -> t - t^2 peaks at t = 1/2, so the image of the T bracket
-    needs the vertex value 1/4 whenever the bracket straddles 1/2.
+    By the bracket invariant, t - t^2 is monotone on the T bracket, so the
+    images of its ends bound the image; the same holds for M and U.
     """
     _validate(k, terms)
-    a, b = _t_bracket(k, terms, _resolve_cache(k, cache))
+    a, b = _t_bracket(k, terms, cache)
     fa = a - a * a
     fb = b - b * b
-    lo = min(fa, fb)
-    hi = max(fa, fb)
-    if a < Fraction(1, 2) < b:
-        hi = Fraction(1, 4)
-    return RatInterval(lo, hi)
+    return RatInterval(min(fa, fb), max(fa, fb))
 
 
 def limit_U(k: int, terms: int, *, cache: CountCache | None = None) -> RatInterval:
     """Bracket for the limiting density of mutually unbordered pairs, (1-T)^2."""
     _validate(k, terms)
-    a, b = _t_bracket(k, terms, _resolve_cache(k, cache))
-    return _square_interval(1 - b, 1 - a)
+    a, b = _t_bracket(k, terms, cache)
+    return RatInterval((1 - b) ** 2, (1 - a) ** 2)
 
 
 def expected_lso_limit(k: int, terms: int, *, cache: CountCache | None = None) -> RatInterval:
     """Bracket for the limiting expected shortest-overlap length."""
     _validate(k, terms)
-    lo = _partial_sum(k, terms, _resolve_cache(k, cache), weighted=True)
+    # the first `terms` terms of E are the mean lso at length terms + 1
+    lo = expected_lso_finite(k, terms + 1, cache=cache)
     tail = Fraction(k * (terms + 1) - terms, (k - 1) ** 2 * k**terms)
     return RatInterval(lo, lo + tail)
 
@@ -158,13 +149,13 @@ def unbordered_density(k: int, n: int, *, cache: CountCache | None = None) -> Fr
         raise InvalidInputError(f"density requires an alphabet of size >= 2, got k={k}")
     if n < 1:
         raise InvalidInputError(f"length must be at least 1, got {n}")
-    return Fraction(_resolve_cache(k, cache).unbordered(n), k**n)
+    return Fraction(unbordered_count(k, n, cache=cache), k**n)
 
 
 def unbordered_density_limit(k: int, terms: int, *, cache: CountCache | None = None) -> RatInterval:
     """Bracket for the limiting unbordered density, 1 - T."""
     _validate(k, terms)
-    a, b = _t_bracket(k, terms, _resolve_cache(k, cache))
+    a, b = _t_bracket(k, terms, cache)
     return RatInterval(1 - b, 1 - a)
 
 

@@ -12,6 +12,8 @@ The building blocks:
 * bordered_count(k, n): classify bordered words by the length i of their
   shortest border, which is itself unbordered and at most n/2 long, then
   sum u_i * k^(n-2i).  The total equals k^n - u_n.
+* bordered_count and expected_lso_finite, the mean sum_(i<n) i*u_i*k^(-2i),
+  each run one Horner loop, total = total*k^2 + u_i (or + i*u_i).
 * g_count(k, t, n): length-n unbordered words whose length-t prefix and
   suffix realize a fixed mutually unbordered pair of distinct words.  The
   count depends only on t, not on the pair chosen: it is zero below
@@ -170,7 +172,11 @@ def bordered_count(k: int, n: int, *, cache: CountCache | None = None) -> int:
     """
     _require_positive_length(n)
     c = _resolve_cache(k, cache)
-    return sum(c.unbordered(i) * k ** (n - 2 * i) for i in range(1, n // 2 + 1))
+    k2 = k * k
+    total = 0
+    for i in range(1, n // 2 + 1):
+        total = total * k2 + c.unbordered(i)
+    return total * k ** (n % 2)
 
 
 def g_count(k: int, t: int, n: int, *, cache: CountCache | None = None) -> int:
@@ -217,5 +223,8 @@ def expected_lso_finite(k: int, n: int, *, cache: CountCache | None = None) -> F
     """Exact mean of lso(u, v) over uniform ordered pairs of length n."""
     _require_positive_length(n)
     c = _resolve_cache(k, cache)
-    total = sum(i * c.unbordered(i) * k ** (2 * (n - i)) for i in range(1, n))
-    return Fraction(total, k ** (2 * n))
+    k2 = k * k
+    total = 0
+    for i in range(1, n):
+        total = total * k2 + i * c.unbordered(i)
+    return Fraction(total, k2 ** (n - 1))

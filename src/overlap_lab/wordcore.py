@@ -122,20 +122,13 @@ def _overlap_lengths(
 ) -> list[int]:
     """Ascending right-border lengths of (u, v): suffix_l(u) == prefix_l(v).
 
-    Prefix function of v + sentinel + u, walking the failure chain at the
-    final position.  The sentinel k cannot match any symbol, so no chain
-    value exceeds min(|u|, |v|); properness on both sides is filtered here.
+    Failure chain of v + sentinel + u at its final position.  The sentinel
+    k cannot match any symbol, so no chain value exceeds min(|u|, |v|),
+    and only the last, longest length can fail to be proper.
     """
-    m = len(u_syms)
-    n = len(v_syms)
-    pi = _prefix_function(v_syms + (k,) + u_syms)
-    lengths: list[int] = []
-    l = pi[-1]
-    while l:
-        if l < m and l < n:
-            lengths.append(l)
-        l = pi[l - 1]
-    lengths.reverse()
+    lengths = _border_chain(_prefix_function(v_syms + (k,) + u_syms))
+    if lengths and lengths[-1] == min(len(u_syms), len(v_syms)):
+        lengths.pop()
     return lengths
 
 

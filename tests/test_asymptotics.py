@@ -201,3 +201,60 @@ def test_format_decimal():
     # ties round to even
     assert format_decimal(Fraction(1, 8), 2) == "0.12"
     assert format_decimal(Fraction(3, 8), 2) == "0.38"
+
+
+# The series code these brackets used to run, kept as the reference they
+# must match exactly: a second summation of T and E over the common
+# denominator k^(2*terms), squares of intervals of either sign, and the
+# vertex value 1/4 of t - t^2 when the T bracket straddles 1/2.
+def reference_partial_sum(k, terms, cache, *, weighted):
+    numerator = 0
+    for i in range(1, terms + 1):
+        u_i = cache.unbordered(i)
+        numerator = numerator * k * k + (i * u_i if weighted else u_i)
+    return Fraction(numerator, k ** (2 * terms))
+
+
+def reference_square_interval(lo, hi):
+    if lo >= 0:
+        return lo * lo, hi * hi
+    if hi <= 0:
+        return hi * hi, lo * lo
+    return Fraction(0), max(lo * lo, hi * hi)
+
+
+def reference_brackets(k, terms, cache):
+    a = reference_partial_sum(k, terms, cache, weighted=False)
+    b = a + Fraction(1, (k - 1) * k**terms)
+    fa, fb = a - a * a, b - b * b
+    r_hi = Fraction(1, 4) if a < Fraction(1, 2) < b else max(fa, fb)
+    e = reference_partial_sum(k, terms, cache, weighted=True)
+    e_tail = Fraction(k * (terms + 1) - terms, (k - 1) ** 2 * k**terms)
+    return {
+        limit_M: reference_square_interval(a, b),
+        limit_R: (min(fa, fb), r_hi),
+        limit_U: reference_square_interval(1 - b, 1 - a),
+        expected_lso_limit: (e, e + e_tail),
+        unbordered_density_limit: (1 - b, 1 - a),
+    }
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 10, 100])
+def test_brackets_match_series_reference(k):
+    cache = CountCache(k)
+    for terms in (*range(1, 61), 200):
+        for fn, want in reference_brackets(k, terms, cache).items():
+            got = fn(k, terms, cache=cache)
+            assert (got.lo, got.hi) == want, (fn.__name__, terms)
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_t_bracket_stays_on_one_side_of_one_half(k):
+    # the reason the maps need no sign cases and no vertex: the T bracket
+    # is within [1/2, 1] for k = 2 and within [0, 1/2] for k >= 3
+    low, high = (Fraction(1, 2), Fraction(1)) if k == 2 else (Fraction(0), Fraction(1, 2))
+    cache = CountCache(k)
+    for terms in range(1, 61):
+        one_minus_t = unbordered_density_limit(k, terms, cache=cache)
+        a, b = 1 - one_minus_t.hi, 1 - one_minus_t.lo
+        assert low <= a <= b <= high, terms

@@ -334,6 +334,25 @@ def test_cache_matches_reference_sums(k):
         assert [g_count(k, t, n, cache=cache) for n in range(t, 61)] == want[t:]
 
 
+def reference_bordered_count(k: int, n: int) -> int:
+    # one power of k per term, summed over the shortest border length i
+    return sum(unbordered_count(k, i) * k ** (n - 2 * i) for i in range(1, n // 2 + 1))
+
+
+def reference_expected_lso(k: int, n: int) -> Fraction:
+    # pairs with lso = i number u_i * k^(2(n-i)); one power of k per term
+    total = sum(i * unbordered_count(k, i) * k ** (2 * (n - i)) for i in range(1, n))
+    return Fraction(total, k ** (2 * n))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 10])
+def test_horner_sums_match_power_sums(k):
+    cache = CountCache(k)
+    for n in range(1, 121):
+        assert bordered_count(k, n, cache=cache) == reference_bordered_count(k, n)
+        assert expected_lso_finite(k, n, cache=cache) == reference_expected_lso(k, n)
+
+
 def test_g_below_twice_t_builds_no_table():
     # n < 2t leaves no room for both ends, so the answer is 0 without a
     # table.  The small case runs first: building a 2t-entry zero prefix
