@@ -13,7 +13,8 @@ The building blocks:
   shortest border, which is itself unbordered and at most n/2 long, then
   sum u_i * k^(n-2i).  The total equals k^n - u_n.
 * bordered_count and expected_lso_finite, the mean sum_(i<n) i*u_i*k^(-2i),
-  each run one Horner loop, total = total*k^2 + u_i (or + i*u_i).
+  each fill the unbordered table once and run one Horner loop over a
+  slice of it, total = total*k^2 + u_i (or + i*u_i).
 * g_count(k, t, n): length-n unbordered words whose length-t prefix and
   suffix realize a fixed mutually unbordered pair of distinct words.  The
   count depends only on t, not on the pair chosen: it is zero below
@@ -27,9 +28,16 @@ The building blocks:
   close_n = k^2*close_(n-1) + sum_(a<n) u_a*u_(n-a).  Pairs with
   i + j > n are forced into the interleaved shape u = x s y t x,
   v = y t x s y, seeded by a mutually unbordered pair of distinct words
-  of length p = i + j - n <= n/3 and counted through g_count.  All pairs
-  with a right-border number sum_(i<n) u_i * k^(2(n-i)), which runs as
-  with_right_n = k^2*(with_right_(n-1) + u_(n-1)).
+  of length p = i + j - n <= n/3 and counted through g_count.
+* right_bordered_count and mutually_unbordered_count follow from M_n and
+  the unbordered table.  The pairs with a right-border number
+  M_n + R_n = k^(2n) - u_(2n) - u_n.  Proof: a border of w = vu shorter
+  than n is a suffix of u that is also a prefix of v, so the borders of w
+  shorter than n are exactly the right-borders of (u, v).  Without one, w
+  is unbordered (u_(2n) pairs) or its shortest border, unbordered and at
+  most half of w, is exactly n long, so v = u with u unbordered (u_n
+  pairs).  With M + 2R + U = k^(2n) this gives
+  U_n = M_n + 2*(u_(2n) + u_n) - k^(2n).
 """
 
 from __future__ import annotations
@@ -46,8 +54,11 @@ class CountCache:
 
     Each new length extends every table by one step of a running
     recurrence (see the module docstring), so a row costs O(n) products:
-    close_n = k^2*close_(n-1) + sum_(a<n) u_a*u_(n-a), with_right_n =
-    k^2*(with_right_(n-1) + u_(n-1)) and g_t(n) = k*g_t(n-1) - g_t(n/2).
+    close_n = k^2*close_(n-1) + sum_(a<n) u_a*u_(n-a), and u and every g_t
+    take Nielsen's step tbl[m] = k*tbl[m-1] - tbl[m/2].  R and U need no
+    recurrence of their own: the borders of vu shorter than n are the
+    right-borders of (u, v), so M_n + R_n = k^(2n) - u_(2n) - u_n, and
+    U_n = M_n + 2*(u_(2n) + u_n) - k^(2n).
 
     Memoization is semantically transparent: a warm cache returns exactly
     what a cold one would, in any order of requests.  Instances may be
@@ -62,7 +73,6 @@ class CountCache:
         self._unbordered: list[int] = [1]
         self._g_tables: dict[int, list[int]] = {}
         self._mutual: dict[int, int] = {}
-        self._right: dict[int, int] = {}
         self._neither: dict[int, int] = {}
         self._close: dict[int, int] = {0: 0}
 
@@ -70,7 +80,7 @@ class CountCache:
         if n < 0:
             raise InvalidInputError(f"length must be non-negative, got {n}")
         with self._lock:
-            return self._unbordered_locked(n)
+            return self._unbordered_locked(n)[n]
 
     def g(self, t: int, n: int) -> int:
         if t < 1 or n < t:
@@ -88,23 +98,16 @@ class CountCache:
     def right_bordered(self, n: int) -> int:
         with self._lock:
             self._ensure_pairs_locked(n)
-            return self._right[n]
+            u = self._unbordered
+            return self.k ** (2 * n) - u[2 * n] - u[n] - self._mutual[n]
 
     def mutually_unbordered(self, n: int) -> int:
         with self._lock:
             self._ensure_pairs_locked(n)
             return self._neither[n]
 
-    def _unbordered_locked(self, n: int) -> int:
-        tbl = self._unbordered
-        k = self.k
-        while len(tbl) <= n:
-            m = len(tbl)
-            value = k * tbl[m - 1]
-            if m % 2 == 0:
-                value -= tbl[m // 2]
-            tbl.append(value)
-        return tbl[n]
+    def _unbordered_locked(self, n: int) -> list[int]:
+        return self._nielsen_locked(self._unbordered, n, 2)
 
     def _g_table_locked(self, t: int, n: int) -> list[int]:
         # index by length: zero below 2t, too short to hold both ends of a
@@ -112,11 +115,16 @@ class CountCache:
         tbl = self._g_tables.get(t)
         if tbl is None:
             tbl = self._g_tables[t] = [0] * (2 * t) + [1]
+        return self._nielsen_locked(tbl, n, 4 * t)
+
+    def _nielsen_locked(self, tbl: list[int], n: int, start: int) -> list[int]:
+        # extend tbl to index n by tbl[m] = k*tbl[m-1] - tbl[m/2], the
+        # subtraction only at even m >= start
         k = self.k
         while len(tbl) <= n:
             m = len(tbl)
             value = k * tbl[m - 1]
-            if m % 2 == 0 and m >= 4 * t:
+            if m % 2 == 0 and m >= start:
                 value -= tbl[m // 2]
             tbl.append(value)
         return tbl
@@ -125,8 +133,7 @@ class CountCache:
         if n < 1:
             raise InvalidInputError(f"length must be at least 1, got {n}")
         k2 = self.k * self.k
-        self._unbordered_locked(n)
-        u = self._unbordered
+        u = self._unbordered_locked(2 * n)
         for j in range(len(self._mutual) + 1, n + 1):
             # close pairs: overlap lengths a = lso(u,v), b = lso(v,u) with
             # a + b <= j; the two shortest overlaps are disjoint unbordered
@@ -138,10 +145,8 @@ class CountCache:
             for p in range(1, j // 3 + 1):
                 halves = self._g_table_locked(p, j - p)[2 * p : j - p + 1]
                 mutual += (self._neither[p] - u[p]) * sum(map(mul, halves, reversed(halves)))
-            # pairs with a right-border; at j - 1 they number M + R
-            with_right = k2 * (self._mutual[j - 1] + self._right[j - 1] + u[j - 1]) if j > 1 else 0
-            self._right[j] = with_right - mutual
-            self._neither[j] = k2**j - 2 * self._right[j] - mutual
+            # no border in either direction, from M_j + R_j = k^(2j) - u_(2j) - u_j
+            self._neither[j] = mutual + 2 * (u[2 * j] + u[j]) - k2**j
             # written last, so an interrupted fill redoes row j from the start
             self._mutual[j] = mutual
 
@@ -168,14 +173,19 @@ def bordered_count(k: int, n: int, *, cache: CountCache | None = None) -> int:
     """Number of length-n bordered words, summed over the shortest border.
 
     Evaluates sum_i u_i * k^(n-2i) for 1 <= i <= n/2, which also equals
-    k^n - unbordered_count(k, n).
+    k^n - unbordered_count(k, n).  The sum is the cheaper form: it needs
+    the unbordered table only to n/2, while k^n - u_n fills it to n.  The
+    entries grow linearly in size, so a table of m entries holds about
+    m^2 bits, and the difference form would hold four times as many.
     """
     _require_positive_length(n)
     c = _resolve_cache(k, cache)
+    c.unbordered(n // 2)
     k2 = k * k
     total = 0
-    for i in range(1, n // 2 + 1):
-        total = total * k2 + c.unbordered(i)
+    # entries never change once written, so the slice needs no lock
+    for value in c._unbordered[1 : n // 2 + 1]:
+        total = total * k2 + value
     return total * k ** (n % 2)
 
 
@@ -223,8 +233,9 @@ def expected_lso_finite(k: int, n: int, *, cache: CountCache | None = None) -> F
     """Exact mean of lso(u, v) over uniform ordered pairs of length n."""
     _require_positive_length(n)
     c = _resolve_cache(k, cache)
+    c.unbordered(n - 1)
     k2 = k * k
     total = 0
-    for i in range(1, n):
-        total = total * k2 + i * c.unbordered(i)
+    for i, value in enumerate(c._unbordered[1:n], 1):
+        total = total * k2 + i * value
     return Fraction(total, k2 ** (n - 1))

@@ -70,6 +70,19 @@ def test_parse_word_errors_name_the_position():
         parse_word("", 2)
 
 
+@pytest.mark.parametrize("entry", ["1_0", " 3", "+3", "\u0661"])
+def test_comma_entries_must_be_ascii_digits(entry):
+    # int() also reads underscores, spaces, a plus sign and non-ASCII
+    # digits, which render_word would not give back
+    with pytest.raises(InvalidInputError, match="entry .* at position 1 is not an integer"):
+        parse_word(f"0,{entry},1", 12)
+
+
+def test_negative_comma_entry_is_outside_the_alphabet():
+    with pytest.raises(InvalidInputError, match="symbol -1 at position 2 is outside"):
+        parse_word("0,1,-1", 12)
+
+
 def test_render_word_round_trips():
     for text, k, letters in [("0101", 2, False), ("3,11,0", 12, False), ("abz", 26, True)]:
         assert render_word(parse_word(text, k, letters=letters), letters=letters) == text

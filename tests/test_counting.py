@@ -21,6 +21,7 @@ from overlap_lab import (
     bordered_count,
     expected_lso_finite,
     g_count,
+    limit_report,
     mutually_bordered_count,
     mutually_unbordered_count,
     right_bordered_count,
@@ -351,6 +352,52 @@ def test_horner_sums_match_power_sums(k):
     for n in range(1, 121):
         assert bordered_count(k, n, cache=cache) == reference_bordered_count(k, n)
         assert expected_lso_finite(k, n, cache=cache) == reference_expected_lso(k, n)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 10])
+def test_pair_identities_at_larger_n(k):
+    # M + R is the direct right-border sum, and the borders of vu shorter
+    # than n are the right-borders of (u, v): U - M = 2(u_2n + u_n) - k^2n
+    cache = CountCache(k)
+    u = [unbordered_count(k, m, cache=cache) for m in range(301)]
+    for n in range(1, 151):
+        mutual, right, neither = pair_row(cache, n)
+        assert mutual + right == sum(u[i] * k ** (2 * (n - i)) for i in range(1, n))
+        assert neither - mutual == 2 * (u[2 * n] + u[n]) - k ** (2 * n)
+
+
+def test_horner_sums_fill_the_table_once(monkeypatch):
+    cache = CountCache(3)
+    u = [unbordered_count(3, m, cache=cache) for m in range(2001)]
+    want_bordered = 3**2000 - u[2000]
+    want_mean = Fraction(sum(i * u[i] * 9 ** (999 - i) for i in range(1, 1000)), 9**999)
+    calls: list[int] = []
+    unbordered = CountCache.unbordered
+
+    def counted(self, n):
+        calls.append(n)
+        return unbordered(self, n)
+
+    monkeypatch.setattr(CountCache, "unbordered", counted)
+    assert bordered_count(3, 2000) == want_bordered
+    assert len(calls) <= 1
+    calls.clear()
+    assert expected_lso_finite(3, 1000) == want_mean
+    assert len(calls) <= 1
+
+
+def test_limit_bracket_fills_u_only_to_terms():
+    # T's lower end sums u_i * k^(-2i) over i <= terms; taking it as
+    # 1 - u_(2 terms) / k^(2 terms) fills u twice as far, and the table's
+    # bits grow with the square of its length.  At terms = 3000 the real
+    # code peaks at 1.0 MiB and that shortcut at 3.8 MiB.
+    tracemalloc.start()
+    try:
+        limit_report("M_limit", 3, 3000, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_g_below_twice_t_builds_no_table():
