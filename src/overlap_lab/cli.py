@@ -98,30 +98,25 @@ def parse_word(text: str, k: int, *, letters: bool = False) -> Word:
                 )
             symbols.append(sym)
     else:
-        parts = text.split(",")
-        if text.isascii() and all(map(str.isdigit, parts)):
+        for pos, part in enumerate(text.split(",")):
+            negative = part[:1] == "-"
+            digits = part[1:] if negative else part
+            # int() also reads underscores, spaces, a plus sign and non-ASCII
+            # digits, none of which render_word would give back
             try:
-                symbols = list(map(int, parts))
-            except ValueError:  # an entry past int's digit limit
-                pass
-        if not symbols or max(symbols) >= k:
-            # scan in order, naming the first offending entry
-            symbols = []
-            for pos, part in enumerate(parts):
-                digits = part[1:] if part[:1] == "-" else part
-                try:
-                    if not (digits.isascii() and digits.isdigit()):
-                        raise ValueError(part)
-                    sym = int(part)
-                except ValueError:
-                    raise InvalidInputError(
-                        f"entry {part!r} at position {pos} is not an integer"
-                    ) from None
-                if not 0 <= sym < k:
-                    raise InvalidInputError(
-                        f"symbol {sym} at position {pos} is outside the alphabet 0..{k - 1}"
-                    )
-                symbols.append(sym)
+                if not (digits.isascii() and digits.isdigit()):
+                    raise ValueError(part)
+                sym = int(part)  # also fails past int's digit limit
+            except ValueError:
+                raise InvalidInputError(
+                    f"entry {part!r} at position {pos} is not an integer"
+                ) from None
+            if negative or sym >= k:
+                # -0 is named as typed, since int() drops its sign
+                raise InvalidInputError(
+                    f"symbol {sym or part} at position {pos} is outside the alphabet 0..{k - 1}"
+                )
+            symbols.append(sym)
     if not symbols:
         raise InvalidInputError("empty word")
     return Word(tuple(symbols), alphabet)

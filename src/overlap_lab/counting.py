@@ -80,7 +80,7 @@ class CountCache:
         if n < 0:
             raise InvalidInputError(f"length must be non-negative, got {n}")
         with self._lock:
-            return self._unbordered_locked(n)[n]
+            return self._nielsen_locked(self._unbordered, n, 2)[n]
 
     def g(self, t: int, n: int) -> int:
         if t < 1 or n < t:
@@ -106,9 +106,6 @@ class CountCache:
             self._ensure_pairs_locked(n)
             return self._neither[n]
 
-    def _unbordered_locked(self, n: int) -> list[int]:
-        return self._nielsen_locked(self._unbordered, n, 2)
-
     def _g_table_locked(self, t: int, n: int) -> list[int]:
         # index by length: zero below 2t, too short to hold both ends of a
         # mutually unbordered pair, and one at 2t, the seed pair itself
@@ -133,7 +130,7 @@ class CountCache:
         if n < 1:
             raise InvalidInputError(f"length must be at least 1, got {n}")
         k2 = self.k * self.k
-        u = self._unbordered_locked(2 * n)
+        u = self._nielsen_locked(self._unbordered, 2 * n, 2)
         for j in range(len(self._mutual) + 1, n + 1):
             # close pairs: overlap lengths a = lso(u,v), b = lso(v,u) with
             # a + b <= j; the two shortest overlaps are disjoint unbordered

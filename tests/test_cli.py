@@ -83,6 +83,19 @@ def test_negative_comma_entry_is_outside_the_alphabet():
         parse_word("0,1,-1", 12)
 
 
+@pytest.mark.parametrize("entry", ["-0", "-00"])
+def test_negative_zero_comma_entry_is_outside_the_alphabet(entry):
+    # int() drops the sign, so -0 would read as 0 and not round-trip
+    with pytest.raises(InvalidInputError, match=f"symbol {entry} at position 1 is outside"):
+        parse_word(f"1,{entry}", 12)
+
+
+def test_comma_entries_drop_leading_zeros():
+    word = parse_word("03,0,10", 12)
+    assert word.symbols == (3, 0, 10)
+    assert render_word(word) == "3,0,10"
+
+
 def test_render_word_round_trips():
     for text, k, letters in [("0101", 2, False), ("3,11,0", 12, False), ("abz", 26, True)]:
         assert render_word(parse_word(text, k, letters=letters), letters=letters) == text
