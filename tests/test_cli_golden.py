@@ -34,6 +34,12 @@ COMMANDS = [
     ("limits", "--k", "3", "--terms", "40", "--precision", "8"),
 ]
 
+# large count tables in one format each: every row of the pair-table fill
+LARGE_COUNTS = [
+    ("count", "--k", "2", "--n", "130", "--quantities", "M,R,U,u", "--format", "csv"),
+    ("count", "--k", "10", "--n", "80", "--format", "json"),
+]
+
 # refusals that main maps to an exit code and an error line on stderr
 REFUSALS = [
     ("analyze", "012", "101", "--k", "2"),
@@ -78,6 +84,7 @@ FORMATS = ("plain", "csv", "json")
 
 CASES = (
     [(None, (*argv, "--format", fmt)) for argv in COMMANDS for fmt in FORMATS]
+    + [(None, argv) for argv in LARGE_COUNTS]
     + [(None, argv) for argv in REFUSALS]
     + [
         (fault, (*argv, "--format", fmt))
