@@ -44,6 +44,7 @@ and flags that more terms are needed.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -101,17 +102,26 @@ def _validate(k: int, terms: int) -> None:
         raise InvalidInputError(f"need at least one series term, got {terms}")
 
 
+# T brackets by cache and terms.  M, R, U and the unbordered density all
+# need the same bracket, so a command that shares one cache builds it
+# once; weak keys drop the entries together with the cache.
+_T_BRACKETS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _t_bracket(k: int, terms: int, cache: CountCache | None) -> tuple[Fraction, Fraction]:
-    # the first `terms` terms of T are the bordered share at length 2*terms
-    lo = Fraction(bordered_count(k, 2 * terms, cache=cache), k ** (2 * terms))
-    return lo, lo + Fraction(1, (k - 1) * k**terms)
+    memo = {} if cache is None else _T_BRACKETS.setdefault(cache, {})
+    if terms not in memo:
+        # the first `terms` terms of T are the bordered share at length 2*terms
+        lo = Fraction(bordered_count(k, 2 * terms, cache=cache), k ** (2 * terms))
+        memo[terms] = lo, lo + Fraction(1, (k - 1) * k**terms)
+    return memo[terms]
 
 
 def limit_M(k: int, terms: int, *, cache: CountCache | None = None) -> RatInterval:
     """Bracket for the limiting density of mutually bordered pairs, T^2."""
     _validate(k, terms)
     a, b = _t_bracket(k, terms, cache)
-    return RatInterval(a * a, b * b)
+    return RatInterval(a**2, b**2)
 
 
 def limit_R(k: int, terms: int, *, cache: CountCache | None = None) -> RatInterval:

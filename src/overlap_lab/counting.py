@@ -25,10 +25,27 @@ The building blocks:
   i + j, with i = lso(u, v) and j = lso(v, u).  Pairs with i + j <= n
   factor as u = x s y, v = y t x where x, y are unbordered of lengths j
   and i, giving close_n = sum u_i * u_j * k^(2n - 2(i+j)), which runs as
-  close_n = k^2*close_(n-1) + sum_(a<n) u_a*u_(n-a).  Pairs with
-  i + j > n are forced into the interleaved shape u = x s y t x,
-  v = y t x s y, seeded by a mutually unbordered pair of distinct words
-  of length p = i + j - n <= n/3 and counted through g_count.
+  close_n = k^2*close_(n-1) + C(n) with C(n) = sum_(0<a<n) u_a*u_(n-a).
+  Pairs with i + j > n are forced into the interleaved shape
+  u = x s y t x, v = y t x s y, seeded by a mutually unbordered pair of
+  distinct words of length p = i + j - n <= n/3; they add
+  (U_p - u_p) * S_p(n + p) for each p, with
+  S_p(N) = sum_a g_p(a)*g_p(N-a).
+* Neither convolution is summed term by term.  Each is the square of a
+  series with a Nielsen-type functional equation, and squaring the
+  equation gives a running recurrence.  With V(z) = sum_(n>=1) u_n z^n,
+  Nielsen's recurrence reads V(z)(1 - kz) = kz - V(z^2), so
+  C(z)(1 - kz)^2 = k^2 z^2 - 2kz V(z^2) + C(z^2):
+    C(n) = 2k*C(n-1) - k^2*C(n-2) + [n=2]*k^2
+           - [n odd, n>=3]*2k*u_((n-1)/2) + [n even]*C(n/2).
+  With G_p(z) = sum_m g_p(m) z^m, the g recurrence reads
+  G_p(z)(1 - kz) = z^(2p) - G_p(z^2), so
+  S_p(z)(1 - kz)^2 = z^(4p) - 2z^(2p) G_p(z^2) + S_p(z^2):
+    S_p(N) = 2k*S_p(N-1) - k^2*S_p(N-2) + [N=4p]
+             - [N-2p even, >= 0]*2*g_p((N-2p)/2) + [N even]*S_p(N/2),
+  zero below N = 4p.  Each step is a few big-integer operations, so row
+  n reads one C entry and one S_p entry for each p <= n/3, and g_p is
+  needed only up to length (n - p)/2.
 * right_bordered_count and mutually_unbordered_count follow from M_n and
   the unbordered table.  The pairs with a right-border number
   M_n + R_n = k^(2n) - u_(2n) - u_n.  Proof: a border of w = vu shorter
@@ -44,7 +61,6 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from operator import mul
 
 from .errors import InvalidInputError
 
@@ -53,9 +69,14 @@ class CountCache:
     """Memoized count tables for one alphabet size.
 
     Each new length extends every table by one step of a running
-    recurrence (see the module docstring), so a row costs O(n) products:
-    close_n = k^2*close_(n-1) + sum_(a<n) u_a*u_(n-a), and u and every g_t
-    take Nielsen's step tbl[m] = k*tbl[m-1] - tbl[m/2].  R and U need no
+    recurrence (see the module docstring), so row n costs about n/3 steps
+    and nothing convolves.  u and every g_t take Nielsen's step
+    tbl[m] = k*tbl[m-1] - tbl[m/2].  The close sum C(n) and the far sums
+    S_p(N), squares of those series, take the squared step
+    sq[N] = 2k*sq[N-1] - k^2*sq[N-2] - 2c*f[(N-s)/2] + sq[N/2], from
+    F(z)(1 - kz) = c*z^s - F(z^2) with (f, s, c) = (u, 1, k) for C and
+    (g_p, 2p, 1) for S_p.  Then close_n = k^2*close_(n-1) + C(n), and row
+    n adds (U_p - u_p)*S_p(n + p) for each p <= n/3.  R and U need no
     recurrence of their own: the borders of vu shorter than n are the
     right-borders of (u, v), so M_n + R_n = k^(2n) - u_(2n) - u_n, and
     U_n = M_n + 2*(u_(2n) + u_n) - k^(2n).
@@ -75,6 +96,10 @@ class CountCache:
         self._mutual: dict[int, int] = {}
         self._neither: dict[int, int] = {}
         self._close: dict[int, int] = {0: 0}
+        # C(n) = sum_(0<a<n) u_a*u_(n-a), the square of V = U - 1, and
+        # S_t(N), the square of G_t; zero below 2 and 4t, seeded there
+        self._v_square: list[int] = [0, 0, k * k]
+        self._g_squares: dict[int, list[int]] = {}
 
     def unbordered(self, n: int) -> int:
         if n < 0:
@@ -126,6 +151,22 @@ class CountCache:
             tbl.append(value)
         return tbl
 
+    def _square_locked(self, sq: list[int], f: list[int], n: int, s: int, c: int) -> list[int]:
+        # extend sq to index n, where sq[N] = [z^N] F(z)^2 for the series
+        # F(z) = sum f[m] z^m with F(z)(1 - kz) = c*z^s - F(z^2); squaring
+        # gives sq[N] = 2k*sq[N-1] - k^2*sq[N-2] - 2c*f[(N-s)/2] + sq[N/2],
+        # a term only where its index is whole.  f must reach (n - s)/2.
+        k = self.k
+        while len(sq) <= n:
+            m = len(sq)
+            value = 2 * k * sq[m - 1] - k * k * sq[m - 2]
+            if (m - s) % 2 == 0:
+                value -= 2 * c * f[(m - s) // 2]
+            if m % 2 == 0:
+                value += sq[m // 2]
+            sq.append(value)
+        return sq
+
     def _ensure_pairs_locked(self, n: int) -> None:
         if n < 1:
             raise InvalidInputError(f"length must be at least 1, got {n}")
@@ -135,13 +176,17 @@ class CountCache:
             # close pairs: overlap lengths a = lso(u,v), b = lso(v,u) with
             # a + b <= j; the two shortest overlaps are disjoint unbordered
             # blocks and the middles are free
-            ends = u[1:j]
-            mutual = self._close[j] = k2 * self._close[j - 1] + sum(map(mul, ends, reversed(ends)))
+            close = self._square_locked(self._v_square, u, j, 1, self.k)[j]
+            mutual = self._close[j] = k2 * self._close[j - 1] + close
             # far pairs: a + b > j; seeded by an ordered mutually unbordered
             # pair of distinct length-p words sitting at both ends
             for p in range(1, j // 3 + 1):
-                halves = self._g_table_locked(p, j - p)[2 * p : j - p + 1]
-                mutual += (self._neither[p] - u[p]) * sum(map(mul, halves, reversed(halves)))
+                g = self._g_table_locked(p, (j - p) // 2)
+                sq = self._g_squares.get(p)
+                if sq is None:
+                    sq = self._g_squares[p] = [0] * (4 * p) + [1]
+                far = self._square_locked(sq, g, j + p, 2 * p, 1)[j + p]
+                mutual += (self._neither[p] - u[p]) * far
             # no border in either direction, from M_j + R_j = k^(2j) - u_(2j) - u_j
             self._neither[j] = mutual + 2 * (u[2 * j] + u[j]) - k2**j
             # written last, so an interrupted fill redoes row j from the start

@@ -5,10 +5,12 @@ Fractions rather than floats; the frozen three-place decimals come from
 the finished, certified reports themselves.
 """
 
+import gc
 from fractions import Fraction
 
 import pytest
 
+from overlap_lab import asymptotics, cli
 from overlap_lab import (
     CountCache,
     InvalidInputError,
@@ -258,3 +260,24 @@ def test_t_bracket_stays_on_one_side_of_one_half(k):
         one_minus_t = unbordered_density_limit(k, terms, cache=cache)
         a, b = 1 - one_minus_t.hi, 1 - one_minus_t.lo
         assert low <= a <= b <= high, terms
+
+
+def test_limits_command_builds_the_t_bracket_once(monkeypatch, capsys):
+    calls: list[int] = []
+    bordered = asymptotics.bordered_count
+
+    def counted(k, n, *, cache=None):
+        calls.append(n)
+        return bordered(k, n, cache=cache)
+
+    monkeypatch.setattr(asymptotics, "bordered_count", counted)
+    assert cli.main(["limits", "--k", "3", "--terms", "40", "--precision", "8"]) == 0
+    assert calls == [80]
+    # the memo entry dies with the command's cache
+    gc.collect()
+    assert len(asymptotics._T_BRACKETS) == 0
+    # with no cache, each bracket is built afresh
+    calls.clear()
+    assert limit_M(3, 40) == limit_M(3, 40)
+    assert calls == [80, 80]
+    capsys.readouterr()

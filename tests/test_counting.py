@@ -10,6 +10,7 @@ import sys
 import threading
 import tracemalloc
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -154,6 +155,41 @@ def reference_pair_table(k: int, n_max: int) -> list[tuple[int, int, int]]:
         mutual = close + far
         right = with_right - mutual
         rows.append((mutual, right, k ** (2 * j) - 2 * right - mutual))
+    return rows
+
+
+def reference_close_sums(k: int, n_max: int) -> list[int]:
+    # C(n) = sum_(0<a<n) u_a*u_(n-a), one convolution per length
+    u = [unbordered_count(k, m) for m in range(n_max + 1)]
+    return [0] + [sum(map(mul, u[1:n], reversed(u[1:n]))) for n in range(1, n_max + 1)]
+
+
+def reference_g_squares(k: int, p: int, n_max: int) -> list[int]:
+    # S_p(N) = sum_a g_p(a)*g_p(N-a), the square of the g-table
+    g = reference_g_table(k, p, n_max)
+    return [sum(map(mul, g[: n + 1], reversed(g[: n + 1]))) for n in range(n_max + 1)]
+
+
+def reference_convolution_table(k: int, n_max: int) -> list[tuple[int, int, int]]:
+    """(M, R, U) for n = 1..n_max with each row's close and far sums
+    convolved directly from the u and g tables, not run as recurrences.
+    """
+    u = [1]
+    for m in range(1, 2 * n_max + 1):
+        u.append(k * u[m - 1] - (u[m // 2] if m % 2 == 0 else 0))
+    g = {p: reference_g_table(k, p, n_max) for p in range(1, n_max // 3 + 1)}
+    close, neither = 0, {}
+    rows: list[tuple[int, int, int]] = []
+    for j in range(1, n_max + 1):
+        ends = u[1:j]
+        close = k * k * close + sum(map(mul, ends, reversed(ends)))
+        mutual = close
+        for p in range(1, j // 3 + 1):
+            halves = g[p][2 * p : j - p + 1]
+            mutual += (neither[p] - u[p]) * sum(map(mul, halves, reversed(halves)))
+        neither[j] = mutual + 2 * (u[2 * j] + u[j]) - k ** (2 * j)
+        right = k ** (2 * j) - u[2 * j] - u[j] - mutual
+        rows.append((mutual, right, neither[j]))
     return rows
 
 
@@ -470,3 +506,60 @@ def test_shared_cache_across_threads():
     for n_max in sizes:
         cold = CountCache(2)
         assert results[n_max] == [pair_row(cold, n) for n in range(n_max, 0, -1)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 10])
+def test_close_and_far_recurrences_match_direct_sums(k):
+    cache = CountCache(k)
+    cache.mutually_bordered(300)
+    assert cache._v_square[:301] == reference_close_sums(k, 300)
+    # a fill to n runs S_p to n + p, so every S_p reaches 200
+    for p in range(1, 21):
+        assert cache._g_squares[p][:201] == reference_g_squares(k, p, 200)
+
+
+@pytest.mark.parametrize("k,n_max", [(2, 400), (3, 200), (1, 80), (10, 80)])
+def test_pair_rows_match_convolutions(k, n_max):
+    cache = CountCache(k)
+    assert [pair_row(cache, n) for n in range(1, n_max + 1)] == reference_convolution_table(
+        k, n_max
+    )
+
+
+# (s, n) of the square step to interrupt in row 50: the close sum C(50),
+# and S_10(60), the far sum of the tenth seed length
+@pytest.mark.parametrize("step", [(1, 50), (20, 60)], ids=["close", "far"])
+@pytest.mark.parametrize("when", ["before", "after"])
+def test_interrupted_fill_finishes_like_a_cold_one(monkeypatch, step, when):
+    square = CountCache._square_locked
+
+    def interrupted(self, sq, f, n, s, c):
+        if (s, n) == step and when == "before":
+            raise KeyboardInterrupt
+        result = square(self, sq, f, n, s, c)
+        if (s, n) == step:
+            raise KeyboardInterrupt
+        return result
+
+    cache = CountCache(2)
+    monkeypatch.setattr(CountCache, "_square_locked", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cache.mutually_bordered(80)
+    monkeypatch.undo()
+    cold = CountCache(2)
+    assert [pair_row(cache, n) for n in range(1, 81)] == [pair_row(cold, n) for n in range(1, 81)]
+    for t in (1, 10, 26):
+        assert [cache.g(t, n) for n in range(t, 81)] == [cold.g(t, n) for n in range(t, 81)]
+
+
+def test_pair_fill_holds_g_tables_only_to_half_length():
+    # row j reads g_p only up to (j - p)/2; a fill that grew every g_p to
+    # j + p, as the direct far sums need, peaks at 5.5 MB here against
+    # 2.5 MB for the real code
+    tracemalloc.start()
+    try:
+        CountCache(2).mutually_bordered(400)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
