@@ -101,6 +101,78 @@ def test_render_word_round_trips():
         assert render_word(parse_word(text, k, letters=letters), letters=letters) == text
 
 
+LONG = 100_000
+
+
+@pytest.mark.parametrize(
+    "fill, last, k, letters, message",
+    [
+        ("0", "2", 2, False, "symbol 2 at position 99999 is outside the alphabet 0..1"),
+        ("1", "x", 2, False, "character 'x' at position 99999 is not a digit"),
+        ("1", "\u0661", 2, False, "character '\u0661' at position 99999 is not a digit"),
+        ("11", "12", 12, False, "symbol 12 at position 99999 is outside the alphabet 0..11"),
+        ("3", "", 12, False, "entry '' at position 99999 is not an integer"),
+        ("3", "+3", 12, False, "entry '+3' at position 99999 is not an integer"),
+        ("3", "-0", 12, False, "symbol -0 at position 99999 is outside the alphabet 0..11"),
+        ("z", "A", 26, True, "character 'A' at position 99999 is not a lowercase letter"),
+        ("a", "\xe9", 26, True, "character '\xe9' at position 99999 is not a lowercase letter"),
+    ],
+)
+def test_long_word_names_its_only_bad_symbol(fill, last, k, letters, message):
+    sep = "," if k > 10 and not letters else ""
+    text = sep.join([fill] * (LONG - 1) + [last])
+    with pytest.raises(InvalidInputError) as info:
+        parse_word(text, k, letters=letters)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, k, letters, message",
+    [
+        ("0129x", 2, False, "symbol 2 at position 2 is outside the alphabet 0..1"),
+        ("01x92", 2, False, "character 'x' at position 2 is not a digit"),
+        ("0\xe92", 2, False, "character '\xe9' at position 1 is not a digit"),
+        ("02\xe9", 2, False, "symbol 2 at position 1 is outside the alphabet 0..1"),
+        ("1,x,99", 12, False, "entry 'x' at position 1 is not an integer"),
+        ("1,99,x", 12, False, "symbol 99 at position 1 is outside the alphabet 0..11"),
+        ("1,0012,-1", 12, False, "symbol 12 at position 1 is outside the alphabet 0..11"),
+        ("1,-5,12", 12, False, "symbol -5 at position 1 is outside the alphabet 0..11"),
+        ("1,,12", 12, False, "entry '' at position 1 is not an integer"),
+        ("abC1", 26, True, "character 'C' at position 2 is not a lowercase letter"),
+        ("ab1C", 26, True, "character '1' at position 2 is not a lowercase letter"),
+        ("abz", 3, True, "symbol 25 at position 2 is outside the alphabet 0..2"),
+    ],
+)
+def test_first_offender_in_text_order_wins(text, k, letters, message):
+    with pytest.raises(InvalidInputError) as info:
+        parse_word(text, k, letters=letters)
+    assert str(info.value) == message
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="interpreter has no int digit limit"
+)
+@pytest.mark.parametrize("entry", ["1" * 5000, "0" * 5000 + "5"])
+def test_comma_entry_past_the_int_digit_limit(capsys, entry):
+    # int() counts every digit, leading zeros too, against the limit
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(InvalidInputError) as info:
+            parse_word(f"0,{entry},x", 12)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert str(info.value) == f"entry {entry!r} at position 1 is not an integer"
+    # main lifts the limit, so the entry reads as a number
+    code, out, err = run(capsys, "analyze", f"0,{entry}", "0,1", "--k", "12")
+    if entry.startswith("1"):
+        assert code == EXIT_USAGE
+        assert err == f"error: symbol {entry} at position 1 is outside the alphabet 0..11\n"
+    else:
+        assert code == EXIT_OK
+        assert out.startswith("u: 0,5\n")
+
+
 def test_analyze_plain(capsys):
     code, out, _ = run(capsys, "analyze", "010", "101", "--k", "2")
     assert code == EXIT_OK

@@ -209,6 +209,22 @@ def test_word_validation():
         Alphabet(0)
 
 
+@pytest.mark.parametrize(
+    "symbols, message",
+    [
+        ((0,) * 99_999 + (2,), "symbol 2 at position 99999 is outside the alphabet 0..1"),
+        ((1,) * 99_999 + (-1,), "symbol -1 at position 99999 is outside the alphabet 0..1"),
+        ((0, 5, -1), "symbol 5 at position 1 is outside the alphabet 0..1"),
+        ((0, -1, 5), "symbol -1 at position 1 is outside the alphabet 0..1"),
+    ],
+    ids=["last-too-big", "last-negative", "big-first", "negative-first"],
+)
+def test_word_validation_names_the_first_bad_position(symbols, message):
+    with pytest.raises(InvalidInputError) as info:
+        Word(symbols, BINARY)
+    assert str(info.value) == message
+
+
 def test_empty_word_rejected_by_operations():
     empty = Word((), BINARY)
     with pytest.raises(InvalidInputError):
