@@ -37,10 +37,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import operator
 import os
+import re
 import sys
 from collections.abc import Callable
 from fractions import Fraction
+from itertools import compress, count
 from typing import NamedTuple
 
 from . import counting
@@ -74,61 +77,98 @@ _QUANTITY_ORDER = ("M", "R", "U", "u")
 _CHECK_ORDER = ("census", "lemmas", "fourthirds", "lso-histogram")
 
 
+# the characters of digit and letter words, and bytes.translate tables
+# from characters to symbol values and back
+_DIGITS = b"0123456789"
+_LETTERS = b"abcdefghijklmnopqrstuvwxyz"
+_SYMBOL_OF = bytes.maketrans(_DIGITS + _LETTERS, bytes(range(10)) + bytes(range(26)))
+_DIGIT_OF = bytes.maketrans(bytes(range(10)), _DIGITS)
+_LETTER_OF = bytes.maketrans(bytes(range(26)), _LETTERS)
+_DIGIT_ENTRY = re.compile("[0-9]+")
+
+
 def parse_word(text: str, k: int, *, letters: bool = False) -> Word:
-    """Parse CLI word text, naming the offending position on failure."""
+    """Parse CLI word text, naming the first offending position on failure.
+
+    Valid text is checked and converted by bytes.translate, split and
+    map(int, ...); only a failed check looks for the offender.
+    """
     alphabet = Alphabet(k)
-    symbols: list[int] = []
-    if letters:
-        for pos, ch in enumerate(text):
-            if not "a" <= ch <= "z":
-                raise InvalidInputError(
-                    f"character {ch!r} at position {pos} is not a lowercase letter"
-                )
-            symbols.append(ord(ch) - ord("a"))
-    elif k <= 10:
-        for pos, ch in enumerate(text):
-            if not "0" <= ch <= "9":
-                raise InvalidInputError(
-                    f"character {ch!r} at position {pos} is not a digit"
-                )
-            sym = int(ch)
-            if sym >= k:
-                raise InvalidInputError(
-                    f"symbol {sym} at position {pos} is outside the alphabet 0..{k - 1}"
-                )
-            symbols.append(sym)
+    if letters or k <= 10:
+        chars = _LETTERS if letters else _DIGITS[:k]
+        if not text.isascii() or text.encode().translate(None, chars):
+            raise _character_error(text, chars.decode(), k, letters)
+        symbols = tuple(text.encode().translate(_SYMBOL_OF))
     else:
-        for pos, part in enumerate(text.split(",")):
-            negative = part[:1] == "-"
-            digits = part[1:] if negative else part
-            # int() also reads underscores, spaces, a plus sign and non-ASCII
-            # digits, none of which render_word would give back
-            try:
-                if not (digits.isascii() and digits.isdigit()):
-                    raise ValueError(part)
-                sym = int(part)  # also fails past int's digit limit
-            except ValueError:
-                raise InvalidInputError(
-                    f"entry {part!r} at position {pos} is not an integer"
-                ) from None
-            if negative or sym >= k:
-                # -0 is named as typed, since int() drops its sign
-                raise InvalidInputError(
-                    f"symbol {sym or part} at position {pos} is outside the alphabet 0..{k - 1}"
-                )
-            symbols.append(sym)
+        symbols = _comma_symbols(text, k)
     if not symbols:
         raise InvalidInputError("empty word")
-    return Word(tuple(symbols), alphabet)
+    return Word(symbols, alphabet)
 
 
 def render_word(word: Word, *, letters: bool = False) -> str:
     """Inverse of parse_word for the same alphabet settings."""
     if letters:
-        return "".join(chr(ord("a") + sym) for sym in word.symbols)
+        return bytes(word.symbols).translate(_LETTER_OF).decode()
     if word.alphabet.k <= 10:
-        return "".join(str(sym) for sym in word.symbols)
-    return ",".join(str(sym) for sym in word.symbols)
+        return bytes(word.symbols).translate(_DIGIT_OF).decode()
+    return ",".join(map(str, word.symbols))
+
+
+def _character_error(text: str, chars: str, k: int, letters: bool) -> InvalidInputError:
+    """The error for the first character of text outside chars."""
+    pos = re.search(f"[^{chars}]", text).start()
+    ch = text[pos]
+    if letters:
+        return InvalidInputError(
+            f"character {ch!r} at position {pos} is not a lowercase letter"
+        )
+    if "0" <= ch <= "9":
+        return InvalidInputError(
+            f"symbol {ch} at position {pos} is outside the alphabet 0..{k - 1}"
+        )
+    return InvalidInputError(f"character {ch!r} at position {pos} is not a digit")
+
+
+def _comma_symbols(text: str, k: int) -> tuple[int, ...]:
+    # int() also reads underscores, spaces, signs and non-ASCII digits,
+    # none of which render_word would give back, so only ASCII digits and
+    # commas reach it
+    if text.isascii() and not text.encode().translate(None, _DIGITS + b","):
+        try:
+            symbols = tuple(map(int, text.split(",")))
+        except ValueError:  # an empty entry, or one past int's digit limit
+            pass
+        else:
+            if max(symbols) < k:
+                return symbols
+    raise _entry_error(text.split(","), k)
+
+
+def _entry_error(parts: list[str], k: int) -> InvalidInputError:
+    """The error for the first entry that is not a decimal symbol below k."""
+    # parts before `plain` are ASCII digit strings; of those, int() refuses
+    # any with more digits than the interpreter's limit, leading zeros too
+    plain = next(
+        compress(count(), map(operator.not_, map(_DIGIT_ENTRY.fullmatch, parts))),
+        len(parts),
+    )
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    readable = plain
+    if limit:
+        readable = next(compress(count(), map(limit.__lt__, map(len, parts[:plain]))), plain)
+    pos = next(compress(count(), map(k.__le__, map(int, parts[:readable]))), readable)
+    part = parts[pos]
+    try:
+        if not _DIGIT_ENTRY.fullmatch(part.removeprefix("-")):
+            raise ValueError(part)
+        sym = int(part)  # also fails past int's digit limit
+    except ValueError:
+        return InvalidInputError(f"entry {part!r} at position {pos} is not an integer")
+    # -0 is named as typed, since int() drops its sign
+    return InvalidInputError(
+        f"symbol {sym or part} at position {pos} is outside the alphabet 0..{k - 1}"
+    )
 
 
 class Table(NamedTuple):

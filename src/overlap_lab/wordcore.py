@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress, count, repeat
+from operator import ge, lt
 from typing import Iterator, Sequence
 
 from .errors import InvalidInputError
@@ -51,12 +53,16 @@ class Word:
     def __post_init__(self) -> None:
         if not isinstance(self.symbols, tuple):
             object.__setattr__(self, "symbols", tuple(self.symbols))
-        k = self.alphabet.k
-        for pos, sym in enumerate(self.symbols):
-            if not 0 <= sym < k:
-                raise InvalidInputError(
-                    f"symbol {sym} at position {pos} is outside the alphabet 0..{k - 1}"
-                )
+        symbols, k = self.symbols, self.alphabet.k
+        if symbols and not (0 <= min(symbols) and max(symbols) < k):
+            n = len(symbols)
+            pos = min(
+                next(compress(count(), map(lt, symbols, repeat(0))), n),
+                next(compress(count(), map(ge, symbols, repeat(k))), n),
+            )
+            raise InvalidInputError(
+                f"symbol {symbols[pos]} at position {pos} is outside the alphabet 0..{k - 1}"
+            )
 
     def __len__(self) -> int:
         return len(self.symbols)

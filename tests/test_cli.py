@@ -8,6 +8,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from overlap_lab import QUANTITIES, CountCache, limit_report, mutually_unbordered_count
 from overlap_lab.cli import (
@@ -21,6 +23,7 @@ from overlap_lab.cli import (
     render_word,
 )
 from overlap_lab.errors import InvalidInputError
+from overlap_lab.wordcore import Alphabet, Word
 
 
 def run(capsys, *argv: str):
@@ -49,6 +52,105 @@ def uncapped_int_text():
     finally:
         if old is not None:
             sys.set_int_max_str_digits(old)
+
+
+def reference_parse_word(text: str, k: int, *, letters: bool = False) -> Word:
+    """parse_word as a per-position scan: the reference for its messages."""
+    alphabet = Alphabet(k)
+    symbols: list[int] = []
+    if letters:
+        for pos, ch in enumerate(text):
+            if not "a" <= ch <= "z":
+                raise InvalidInputError(
+                    f"character {ch!r} at position {pos} is not a lowercase letter"
+                )
+            symbols.append(ord(ch) - ord("a"))
+    elif k <= 10:
+        for pos, ch in enumerate(text):
+            if not "0" <= ch <= "9":
+                raise InvalidInputError(f"character {ch!r} at position {pos} is not a digit")
+            sym = int(ch)
+            if sym >= k:
+                raise InvalidInputError(
+                    f"symbol {sym} at position {pos} is outside the alphabet 0..{k - 1}"
+                )
+            symbols.append(sym)
+    else:
+        for pos, part in enumerate(text.split(",")):
+            negative = part[:1] == "-"
+            digits = part[1:] if negative else part
+            try:
+                if not (digits.isascii() and digits.isdigit()):
+                    raise ValueError(part)
+                sym = int(part)
+            except ValueError:
+                raise InvalidInputError(
+                    f"entry {part!r} at position {pos} is not an integer"
+                ) from None
+            if negative or sym >= k:
+                raise InvalidInputError(
+                    f"symbol {sym or part} at position {pos} is outside the alphabet 0..{k - 1}"
+                )
+            symbols.append(sym)
+    if not symbols:
+        raise InvalidInputError("empty word")
+    return Word(tuple(symbols), alphabet)
+
+
+def reference_render_word(word: Word, *, letters: bool = False) -> str:
+    if letters:
+        return "".join(chr(ord("a") + sym) for sym in word.symbols)
+    if word.alphabet.k <= 10:
+        return "".join(str(sym) for sym in word.symbols)
+    return ",".join(str(sym) for sym in word.symbols)
+
+
+def parse_outcome(parse, text: str, k: int, letters: bool):
+    try:
+        return parse(text, k, letters=letters).symbols
+    except InvalidInputError as exc:
+        return str(exc)
+
+
+# each shape with characters from inside and outside its alphabet
+_DIGIT_TEXTS = st.tuples(
+    st.text(alphabet="0123456789x- ,\xe9\u0661", max_size=12), st.integers(1, 10), st.just(False)
+)
+_COMMA_TEXTS = st.tuples(
+    st.lists(
+        st.text(alphabet="0123456789-+ _x\u0661", max_size=4), min_size=1, max_size=6
+    ).map(",".join),
+    st.sampled_from([11, 12, 100, 1001]),
+    st.just(False),
+)
+_LETTER_TEXTS = st.tuples(
+    st.text(alphabet="abcyz A0,\xe9", max_size=12), st.sampled_from([1, 3, 26, 30]), st.just(True)
+)
+
+
+@given(st.one_of(_DIGIT_TEXTS, _COMMA_TEXTS, _LETTER_TEXTS))
+def test_parse_word_matches_the_reference_scan(case):
+    text, k, letters = case
+    assert parse_outcome(parse_word, text, k, letters) == parse_outcome(
+        reference_parse_word, text, k, letters
+    )
+
+
+@st.composite
+def canonical_words(draw):
+    letters = draw(st.booleans())
+    k = 26 if letters else draw(st.sampled_from([1, 2, 4, 10, 11, 12, 1000]))
+    symbols = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=30))
+    return Word(tuple(symbols), Alphabet(k)), letters
+
+
+@given(canonical_words())
+def test_render_word_round_trips_canonical_text(case):
+    word, letters = case
+    text = reference_render_word(word, letters=letters)
+    assert render_word(word, letters=letters) == text
+    assert parse_word(text, word.alphabet.k, letters=letters) == word
+    assert render_word(parse_word(text, word.alphabet.k, letters=letters), letters=letters) == text
 
 
 def test_parse_word_forms():

@@ -225,6 +225,24 @@ def test_word_validation_names_the_first_bad_position(symbols, message):
     assert str(info.value) == message
 
 
+def reference_validation_message(symbols: tuple[int, ...], k: int) -> str | None:
+    """Word's check as a per-position scan."""
+    for pos, sym in enumerate(symbols):
+        if not 0 <= sym < k:
+            return f"symbol {sym} at position {pos} is outside the alphabet 0..{k - 1}"
+    return None
+
+
+@given(st.integers(1, 5), st.lists(st.integers(-3, 7), max_size=12))
+def test_word_validation_matches_the_reference_scan(k, symbols):
+    try:
+        Word(tuple(symbols), Alphabet(k))
+        message = None
+    except InvalidInputError as exc:
+        message = str(exc)
+    assert message == reference_validation_message(tuple(symbols), k)
+
+
 def test_empty_word_rejected_by_operations():
     empty = Word((), BINARY)
     with pytest.raises(InvalidInputError):
