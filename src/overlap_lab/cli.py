@@ -112,22 +112,20 @@ def render_word(word: Word, *, letters: bool = False) -> str:
         return bytes(word.symbols).translate(_LETTER_OF).decode()
     if word.alphabet.k <= 10:
         return bytes(word.symbols).translate(_DIGIT_OF).decode()
-    return ",".join(map(str, word.symbols))
+    # an int's repr is its decimal text, and map calls repr faster than str
+    return ",".join(map(repr, word.symbols))
 
 
 def _character_error(text: str, chars: str, k: int, letters: bool) -> InvalidInputError:
     """The error for the first character of text outside chars."""
     pos = re.search(f"[^{chars}]", text).start()
     ch = text[pos]
-    if letters:
-        return InvalidInputError(
-            f"character {ch!r} at position {pos} is not a lowercase letter"
-        )
-    if "0" <= ch <= "9":
+    if not letters and "0" <= ch <= "9":
         return InvalidInputError(
             f"symbol {ch} at position {pos} is outside the alphabet 0..{k - 1}"
         )
-    return InvalidInputError(f"character {ch!r} at position {pos} is not a digit")
+    kind = "lowercase letter" if letters else "digit"
+    return InvalidInputError(f"character {ch!r} at position {pos} is not a {kind}")
 
 
 def _comma_symbols(text: str, k: int) -> tuple[int, ...]:
