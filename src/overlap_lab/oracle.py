@@ -12,6 +12,13 @@ with prefix_l(v) == suffix_l(u) form a block of k^(n-l) consecutive codes
 and the v with suffix_l(v) == prefix_l(u) every k^l-th code.  Unions and
 differences of these sets over l classify u against all v at once.
 
+The square checks keep, for each u, only the cumulative sets
+right_within[t] (the v with 1 <= lso(u, v) <= t) and left_within[t] (the
+same for lso(v, u)).  Since they only grow with t, the v with
+lso(u, v) = i are right_within[i] ^ right_within[i - 1], and the v with
+lso(v, u) > t are left_within[-1] ^ left_within[t].  So each u costs
+O(n) big-integer operations.
+
 Every entry point that enumerates pairs refuses up front when the pair
 count exceeds the budget (DEFAULT_PAIR_BUDGET unless overridden), so a
 typo cannot start a multi-day loop.
@@ -21,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import accumulate, islice, product
+from itertools import accumulate, product
 from operator import or_
 from typing import Callable, Iterator
 
@@ -114,12 +121,6 @@ def _overlap_sets(k: int, m: int, n: int) -> Iterator[tuple[list[int], list[int]
         yield right, left
 
 
-def _first_matches(sets: list[int], every: int) -> list[int]:
-    """first[l] = sets[l] minus all shorter sets; first[0] = in no set."""
-    within = list(accumulate(sets, or_))
-    return [every ^ within[-1]] + [sets[l] & ~within[l - 1] for l in range(1, len(sets))]
-
-
 def _members(bits: int) -> Iterator[int]:
     """Codes in a bitset, ascending."""
     while bits:
@@ -131,8 +132,12 @@ def _members(bits: int) -> Iterator[int]:
 def _verify(k: int, n: int, budget: int | None, cap: int, hits_of: Callable) -> ViolationReport:
     """Keep the first violations in pair order: by u, v, then check rank.
 
-    hits_of(u, right, left, room) returns at least the room smallest of u's
-    violations as (code of v, rank, reason) triples.
+    hits_of(u, right, left) gets u's overlap sets from _overlap_sets and
+    returns all of u's violations as (code of v, rank, reason) triples.
+    Each check scans the lengths once, in O(n) big-integer operations per
+    u plus one per violation.  The decomposition check reads only the
+    cumulative sets and adds a j loop only at an i where some v
+    interleaves with u.
     """
     _validate_kn(k, n)
     ensure_within_budget(k ** (2 * n), budget)
@@ -143,7 +148,7 @@ def _verify(k: int, n: int, budget: int | None, cap: int, hits_of: Callable) -> 
         room = cap - len(violations)
         if room <= 0:
             break
-        for v, _, reason in sorted(hits_of(u, right, left, room))[:room]:
+        for v, _, reason in sorted(hits_of(u, right, left))[:room]:
             violations.append((Word(u, alphabet), Word(words[v], alphabet), reason))
     return ViolationReport(checked=k ** (2 * n), violations=tuple(violations))
 
@@ -186,7 +191,7 @@ def verify_shortest_unbordered(
     """
     is_unb = _unbordered_checker()
 
-    def hits_of(u: tuple[int, ...], right: list[int], _: list[int], room: int) -> list:
+    def hits_of(u: tuple[int, ...], right: list[int], _: list[int]) -> list:
         found = []
         shorter = 0
         for l in range(1, n):
@@ -196,7 +201,7 @@ def verify_shortest_unbordered(
             else:
                 side, bad = "shortest overlap is bordered", right[l] & ~shorter
             shorter |= right[l]
-            found += [(v, l, f"{side} at length {l}") for v in islice(_members(bad), room)]
+            found += [(v, l, f"{side} at length {l}") for v in _members(bad)]
         return found
 
     return _verify(k, n, budget, violation_cap, hits_of)
@@ -216,7 +221,6 @@ def verify_decomposition(
       x != y, (x, y) mutually unbordered, and x s y, y t x unbordered.
     """
     is_unb = _unbordered_checker()
-    every = (1 << k**n) - 1
     bound = 4 * n // 3
 
     def interleaved_fault(u: tuple[int, ...], v: tuple[int, ...], i: int, j: int) -> str | None:
@@ -237,30 +241,29 @@ def verify_decomposition(
         )
         return None if shape_ok else f"interleaved factorization failed for i={i}, j={j}"
 
-    def hits_of(u: tuple[int, ...], right: list[int], left: list[int], room: int) -> list:
-        first_right = _first_matches(right, every)
-        first_left = _first_matches(left, every)
-        # v with 1 <= lso(u, v) <= t, and v with 1 <= lso(v, u) <= t
+    def hits_of(u: tuple[int, ...], right: list[int], left: list[int]) -> list:
         right_within = list(accumulate(right, or_))
         left_within = list(accumulate(left, or_))
         found = []
         for i in range(1, n):
+            exact_right = right_within[i] ^ right_within[i - 1]
             # i + j <= n: so(u, v) = suffix_i(u), and so(v, u) = prefix_i(u) for j = i
             if not is_unb(u[n - i :]):
                 reason = f"disjoint case: so(u,v) of length {i} is bordered"
-                bad = first_right[i] & left_within[n - i]
-                found += [(v, 0, reason) for v in islice(_members(bad), room)]
+                bad = exact_right & left_within[n - i]
+                found += [(v, 0, reason) for v in _members(bad)]
             if not is_unb(u[:i]):
                 reason = f"disjoint case: so(v,u) of length {i} is bordered"
-                bad = first_left[i] & right_within[n - i]
-                found += [(v, 1, reason) for v in islice(_members(bad), room)]
-            # i + j > n: v = suffix_i(u) + the last n - i symbols of prefix_j(u)
-            for j in range(n - i + 1, n):
-                both = first_right[i] & first_left[j]
-                if both:
-                    reason = interleaved_fault(u, u[n - i :] + u[i + j - n : j], i, j)
-                    if reason is not None:
-                        found.append((both.bit_length() - 1, 0, reason))
+                bad = (left_within[i] ^ left_within[i - 1]) & right_within[n - i]
+                found += [(v, 1, reason) for v in _members(bad)]
+            # i + j > n: one v per j, suffix_i(u) + the last n - i symbols of prefix_j(u)
+            if exact_right & (left_within[-1] ^ left_within[n - i]):
+                for j in range(n - i + 1, n):
+                    both = exact_right & (left_within[j] ^ left_within[j - 1])
+                    if both:
+                        reason = interleaved_fault(u, u[n - i :] + u[i + j - n : j], i, j)
+                        if reason is not None:
+                            found.append((both.bit_length() - 1, 0, reason))
         return found
 
     return _verify(k, n, budget, violation_cap, hits_of)
@@ -269,21 +272,23 @@ def verify_decomposition(
 def max_overlap_sum(k: int, n: int, *, budget: int | None = None) -> int:
     """Largest lso(u, v) + lso(v, u) over all pairs of length-n words.
 
-    Per u, the largest i + j whose first-match sets (0: no overlap) share a
-    v.  The result never exceeds floor(4n/3).
+    One scan of the cumulative sets per u, with i = lso(u, v) falling from
+    n - 1: whenever some v has lso(u, v) = i, best rises while one of them
+    has lso(v, u) > best - i.  A pair with lso(u, v) = 0 has the sum of its
+    swap (v, u), so it needs no pass.  The result never exceeds floor(4n/3).
     """
     _validate_kn(k, n)
     ensure_within_budget(k ** (2 * n), budget)
-    every = (1 << k**n) - 1
     best = 0
     for right, left in _overlap_sets(k, n, n):
-        first_right = _first_matches(right, every)
-        first_left = _first_matches(left, every)
-        for i in range(n - 1, -1, -1):
-            for j in range(n - 1, max(best - i, -1), -1):
-                if first_right[i] & first_left[j]:
-                    best = i + j
-                    break
+        right_within = list(accumulate(right, or_))
+        left_within = list(accumulate(left, or_))
+        for i in range(n - 1, 0, -1):
+            exact = right_within[i] ^ right_within[i - 1]
+            if exact:
+                best = max(best, i)
+                while best - i < n - 1 and exact & (left_within[-1] ^ left_within[best - i]):
+                    best += 1
     return best
 
 

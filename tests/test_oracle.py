@@ -179,7 +179,7 @@ def test_census_equals_reference(k, top):
             assert enumerate_pair_census(k, m, n) == reference_pair_census(k, m, n)
 
 
-@pytest.mark.parametrize("k,top", REFERENCE_GRID)
+@pytest.mark.parametrize("k,top", REFERENCE_GRID + [(2, 8), (3, 5), (4, 4)])
 def test_square_enumerators_equal_reference(k, top):
     for n in range(1, top + 1):
         assert census_by_lso(k, n) == reference_census_by_lso(k, n)
@@ -202,9 +202,15 @@ def never_bordered():
     return lambda w: True
 
 
-@pytest.mark.parametrize("cap", [16, 3, 10**6])
-@pytest.mark.parametrize("liar", [bordered_at_three, never_bordered])
-@pytest.mark.parametrize("k,n", [(2, 5), (2, 6), (3, 4)])
+VIOLATION_CASES = [
+    (k, n, liar, cap)
+    for k, n in [(2, 5), (2, 6), (3, 4)]
+    for liar in [bordered_at_three, never_bordered]
+    for cap in [16, 3, 10**6]
+] + [(3, 5, bordered_at_three, 5), (3, 5, bordered_at_three, 10**6)]
+
+
+@pytest.mark.parametrize("k,n,liar,cap", VIOLATION_CASES)
 def test_violation_reports_equal_reference(monkeypatch, k, n, liar, cap):
     monkeypatch.setattr(oracle, "_unbordered_checker", liar)
     found = 0
@@ -287,7 +293,7 @@ def test_shortest_unbordered_verifier_finds_nothing(k, n):
     assert report.violations == ()
 
 
-@pytest.mark.parametrize("k,n", [(2, 1), (2, 6), (2, 9), (3, 3), (4, 2)])
+@pytest.mark.parametrize("k,n", [(2, 1), (2, 6), (2, 9), (2, 12), (3, 3), (4, 2)])
 def test_decomposition_verifier_finds_nothing(k, n):
     report = verify_decomposition(k, n)
     assert report.checked == k ** (2 * n)
