@@ -36,10 +36,32 @@ Bracket invariant: the T bracket [a, b] lies in [1/2, 1] for k = 2 and in
 k >= 3, b <= sum_i k^i * k^(-2i) = 1/(k - 1).  So a, b and 1 - b are not
 negative, and t - t^2 is monotone on the bracket.
 
-All brackets are exact rationals.  Decimal strings are produced only when
-the bracket is narrower than half an ulp at the requested precision, so
-every printed digit is certified; otherwise the report carries no decimal
-and flags that more terms are needed.
+Ends in lowest terms without full-size gcds.  A Fraction is always in
+lowest terms, and a sum, difference or product of two Fractions reduces
+its result with gcds of the operands' size: about 26,000 bits for T and
+E at k = 3 and 4000 places, 53,000 for M, R and U.  So each end is
+reduced once, when it is built.  With B = bordered_count(k, 2*terms) and
+D = (k - 1) * k^(2*terms), the T ends are ((k - 1)*B) / D and
+((k - 1)*B + k^terms) / D.  E's lower end comes reduced from counting;
+its upper end is lo's numerator rescaled to (k - 1)*D plus the tail,
+over (k - 1)*D.  The maps then use only operations that keep lowest
+terms without a full-size gcd: a power of a reduced fraction is
+reduced, and 1 - x, x - 1/2 and 1/4 - x take gcds with 1, 2 or 4 only.
+That is why R is evaluated as t - t^2 = 1/4 - (t - 1/2)^2.  A command
+thus makes four full-size reductions: the two T ends and the two E ends.
+
+Certificate and rounding on integers.  Every bracket end of a quantity
+has a denominator that divides a common denominator known in advance:
+D for 1 - T, D^2 for M, R and U (D is even, so x - 1/2 stays over D
+and 1/4 - x over D^2) and (k - 1)*D for E.  limit_report rescales both ends to it by exact
+division, whose quotients are small, to lo/den and hi/den.  A decimal is
+printed only when the bracket is narrower than half an ulp at the
+requested precision, 2 * 10^p * (hi - lo) < den, so every printed digit
+is certified; otherwise the report carries no decimal and flags that
+more terms are needed.  The certified digits are (lo + hi) / (2*den)
+rounded half to even by one divmod.  format_decimal runs the same
+rounding on a single value.  Both build the digits in pieces shorter
+than any int-to-str digit cap, so neither needs the cap lifted.
 """
 
 from __future__ import annotations
@@ -108,12 +130,19 @@ def _validate(k: int, terms: int) -> None:
 _T_BRACKETS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
+def _denominator(k: int, terms: int) -> int:
+    """D = (k - 1) * k^(2*terms), a common denominator of the two T ends."""
+    return (k - 1) * k ** (2 * terms)
+
+
 def _t_bracket(k: int, terms: int, cache: CountCache | None) -> tuple[Fraction, Fraction]:
     memo = {} if cache is None else _T_BRACKETS.setdefault(cache, {})
     if terms not in memo:
-        # the first `terms` terms of T are the bordered share at length 2*terms
-        lo = Fraction(bordered_count(k, 2 * terms, cache=cache), k ** (2 * terms))
-        memo[terms] = lo, lo + Fraction(1, (k - 1) * k**terms)
+        # the first `terms` terms of T are the bordered share at length
+        # 2*terms; over D, the tail bound 1/((k-1) k^terms) is k^terms / D
+        lo = (k - 1) * bordered_count(k, 2 * terms, cache=cache)
+        den = _denominator(k, terms)
+        memo[terms] = Fraction(lo, den), Fraction(lo + k**terms, den)
     return memo[terms]
 
 
@@ -128,13 +157,14 @@ def limit_R(k: int, terms: int, *, cache: CountCache | None = None) -> RatInterv
     """Bracket for the limiting density of right-bordered pairs, T - T^2.
 
     By the bracket invariant, t - t^2 is monotone on the T bracket, so the
-    images of its ends bound the image; the same holds for M and U.
+    images of its ends bound the image; the same holds for M and U.  It
+    falls on [1/2, 1] (k = 2) and rises on [0, 1/2] (k >= 3).
     """
     _validate(k, terms)
     a, b = _t_bracket(k, terms, cache)
-    fa = a - a * a
-    fb = b - b * b
-    return RatInterval(min(fa, fb), max(fa, fb))
+    # t - t^2 in the form that keeps lowest terms without a full-size gcd
+    fa, fb = (Fraction(1, 4) - (t - Fraction(1, 2)) ** 2 for t in (a, b))
+    return RatInterval(fb, fa) if k == 2 else RatInterval(fa, fb)
 
 
 def limit_U(k: int, terms: int, *, cache: CountCache | None = None) -> RatInterval:
@@ -147,10 +177,13 @@ def limit_U(k: int, terms: int, *, cache: CountCache | None = None) -> RatInterv
 def expected_lso_limit(k: int, terms: int, *, cache: CountCache | None = None) -> RatInterval:
     """Bracket for the limiting expected shortest-overlap length."""
     _validate(k, terms)
-    # the first `terms` terms of E are the mean lso at length terms + 1
+    # the first `terms` terms of E are the mean lso at length terms + 1; over
+    # (k-1) D, the tail bound (k(terms+1) - terms) / ((k-1)^2 k^terms) has
+    # numerator (k(terms+1) - terms) k^terms
     lo = expected_lso_finite(k, terms + 1, cache=cache)
-    tail = Fraction(k * (terms + 1) - terms, (k - 1) ** 2 * k**terms)
-    return RatInterval(lo, lo + tail)
+    den = (k - 1) * _denominator(k, terms)
+    tail = (k * (terms + 1) - terms) * k**terms
+    return RatInterval(lo, Fraction(lo.numerator * (den // lo.denominator) + tail, den))
 
 
 def unbordered_density(k: int, n: int, *, cache: CountCache | None = None) -> Fraction:
@@ -169,22 +202,47 @@ def unbordered_density_limit(k: int, terms: int, *, cache: CountCache | None = N
     return RatInterval(1 - b, 1 - a)
 
 
+def _digits(n: int, width: int = 1) -> str:
+    """Decimal text of n >= 0, zero-padded to `width`, built from pieces."""
+    # each str() call gets at most 600 digits, under 640, the smallest
+    # int-to-str digit cap that Python 3.10.7 and later accept
+    if width <= 600 and n.bit_length() <= 1800:
+        return f"{n:0{width}d}"
+    low = max(width, n.bit_length() * 3 // 10) // 2
+    high, rest = divmod(n, 10**low)
+    return _digits(high, max(width - low, 1)) + _digits(rest, low)
+
+
+def _certified_decimal(lo: int, hi: int, den: int, places: int) -> str | None:
+    """(lo + hi) / (2*den) to `places` decimals, rounded half to even.
+
+    None unless the bracket [lo/den, hi/den] (den > 0) is narrower than
+    half a unit in the last place, so that every digit is certified.
+    """
+    unit = 10**places
+    if 2 * unit * (hi - lo) >= den:
+        return None
+    scaled, rest = divmod((lo + hi) * unit, 2 * den)
+    if rest > den or (rest == den and scaled % 2):
+        scaled += 1
+    sign = "-" if scaled < 0 else ""
+    whole, frac = divmod(abs(scaled), unit)
+    return f"{sign}{_digits(whole)}" + (f".{_digits(frac, places)}" if places else "")
+
+
 def format_decimal(value: Fraction, places: int) -> str:
     """Exact fixed-point rendering with round-half-to-even."""
-    scaled = round(value * 10**places)
-    sign = "-" if scaled < 0 else ""
-    whole, frac = divmod(abs(scaled), 10**places)
-    if places == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{frac:0{places}d}"
+    return _certified_decimal(value.numerator, value.numerator, value.denominator, places)
 
 
+# each quantity's bracket function, and a common denominator of its ends
+# as D^power * (k-1)^extra (see the module docstring)
 _QUANTITY_FUNCS = {
-    "M_limit": limit_M,
-    "R_limit": limit_R,
-    "U_limit": limit_U,
-    "expected_lso": expected_lso_limit,
-    "unbordered_density": unbordered_density_limit,
+    "M_limit": (limit_M, 2, 0),
+    "R_limit": (limit_R, 2, 0),
+    "U_limit": (limit_U, 2, 0),
+    "expected_lso": (expected_lso_limit, 1, 1),
+    "unbordered_density": (unbordered_density_limit, 1, 0),
 }
 
 QUANTITIES = tuple(_QUANTITY_FUNCS)
@@ -200,7 +258,7 @@ def limit_report(
 ) -> LimitReport:
     """Bracket one quantity and render its decimal if certifiable."""
     try:
-        func = _QUANTITY_FUNCS[quantity]
+        func, power, extra = _QUANTITY_FUNCS[quantity]
     except KeyError:
         raise InvalidInputError(
             f"unknown quantity {quantity!r}; choose from {', '.join(QUANTITIES)}"
@@ -208,8 +266,9 @@ def limit_report(
     if precision < 0:
         raise InvalidInputError(f"precision must be non-negative, got {precision}")
     interval = func(k, terms, cache=cache)
-    certified = interval.width < Fraction(1, 2 * 10**precision)
-    decimal = format_decimal(interval.midpoint, precision) if certified else None
+    den = _denominator(k, terms) ** power * (k - 1) ** extra
+    lo, hi = (end.numerator * (den // end.denominator) for end in (interval.lo, interval.hi))
+    decimal = _certified_decimal(lo, hi, den, precision)
     return LimitReport(
         quantity=quantity,
         k=k,

@@ -6,6 +6,7 @@ the finished, certified reports themselves.
 """
 
 import gc
+import sys
 from fractions import Fraction
 
 import pytest
@@ -205,6 +206,69 @@ def test_format_decimal():
     assert format_decimal(Fraction(3, 8), 2) == "0.38"
 
 
+def test_format_decimal_ties_on_both_sides_of_zero():
+    assert format_decimal(Fraction(-1, 8), 2) == "-0.12"
+    assert format_decimal(Fraction(-3, 8), 2) == "-0.38"
+    halves = [format_decimal(Fraction(n, 2), 0) for n in (-5, -3, -1, 1, 3, 5)]
+    assert halves == ["-2", "-2", "0", "0", "2", "2"]
+    assert format_decimal(Fraction(-7, 3), 0) == "-2"
+    assert format_decimal(Fraction(-1, 3), 0) == "0"
+
+
+@pytest.mark.parametrize("places", [0, 1, 3, 8])
+@pytest.mark.parametrize("whole", [3, -3])
+def test_certificate_needs_less_than_half_an_ulp(places, whole):
+    # over den = 14 * 10^places, half an ulp is 7 units: a bracket 7 units
+    # wide is refused, one 6 units wide is certified
+    den = 14 * 10**places
+    lo = whole * den
+    assert asymptotics._certified_decimal(lo, lo + 7, den, places) is None
+    want = f"{whole}." + "0" * places if places else str(whole)
+    assert asymptotics._certified_decimal(lo, lo + 6, den, places) == want
+
+
+@pytest.mark.parametrize(
+    "lo,hi,den,places,want",
+    [
+        (124, 126, 1000, 2, "0.12"),  # midpoint 0.125 rounds down to even
+        (374, 376, 1000, 2, "0.38"),  # midpoint 0.375 rounds up to even
+        (-126, -124, 1000, 2, "-0.12"),
+        (-376, -374, 1000, 2, "-0.38"),
+        (1, 1, 2, 0, "0"),
+        (3, 3, 2, 0, "2"),
+        (-1, -1, 2, 0, "0"),
+        (-3, -3, 2, 0, "-2"),
+        (-5, -4, 2, 0, None),  # width 1/2 at no places
+        (-4, -4, 2, 0, "-2"),
+        (1, 2, 10**9, 8, "0.00000000"),
+    ],
+)
+def test_certified_decimal_rounds_half_to_even(lo, hi, den, places, want):
+    assert asymptotics._certified_decimal(lo, hi, den, places) == want
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit cap"
+)
+def test_decimals_past_the_int_digit_cap():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        report = limit_report("M_limit", 3, 10488, 5000)
+        third = format_decimal(Fraction(1, 3), 5000)
+        half = format_decimal(Fraction(10**5000 + 1, 2), 0)
+        # library code leaves the cap where it was
+        assert sys.get_int_max_str_digits() == 4300
+        sys.set_int_max_str_digits(0)
+        want = reference_decimal(report.interval, 5000)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert report.decimal == want
+    assert want.startswith("0.196266862375327066") and len(want) == 5002
+    assert third == "0." + "3" * 5000
+    assert half == "5" + "0" * 4999
+
+
 # The series code these brackets used to run, kept as the reference they
 # must match exactly: a second summation of T and E over the common
 # denominator k^(2*terms), squares of intervals of either sign, and the
@@ -248,6 +312,33 @@ def test_brackets_match_series_reference(k):
         for fn, want in reference_brackets(k, terms, cache).items():
             got = fn(k, terms, cache=cache)
             assert (got.lo, got.hi) == want, (fn.__name__, terms)
+
+
+# The Fraction certificate and rounding that limit_report used to run, kept
+# as the reference it must match: the bracket width against half an ulp,
+# and the midpoint rounded by round().
+def reference_decimal(interval, places):
+    if not interval.width < Fraction(1, 2 * 10**places):
+        return None
+    scaled = round(interval.midpoint * 10**places)
+    sign = "-" if scaled < 0 else ""
+    whole, frac = divmod(abs(scaled), 10**places)
+    return f"{sign}{whole}" if places == 0 else f"{sign}{whole}.{frac:0{places}d}"
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 10, 100])
+def test_limit_report_matches_fraction_reference(k):
+    cache = CountCache(k)
+    for terms in (*range(1, 61), 200):
+        for quantity in QUANTITIES:
+            for places in (0, 1, 3, 8, 20):
+                report = limit_report(quantity, k, terms, places, cache=cache)
+                want = reference_decimal(report.interval, places)
+                assert (report.certified, report.decimal) == (want is not None, want), (
+                    quantity,
+                    terms,
+                    places,
+                )
 
 
 @pytest.mark.parametrize("k", range(2, 13))

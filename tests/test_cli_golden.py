@@ -11,6 +11,7 @@ and review the diff of the JSON file like any other change.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
@@ -82,6 +83,22 @@ FAULT_COMMANDS = {
 
 FORMATS = ("plain", "csv", "json")
 
+# limits at benchmark size, far past the golden file's 40 terms: exit code
+# and sha256 of stdout, recorded when the certificate still compared and
+# rounded Fractions
+LARGE_LIMITS = {
+    "limits --k 3 --terms 8392 --precision 4000":
+        (0, "ced3b4330d0899d6a94a46103f795f19bc3d0b7a153d34139095a50ecdb6bdd2"),
+    "limits --k 5 --terms 1431 --precision 997 --format csv":
+        (0, "f2de52ed71fd3e7632e140b6212e7b0e474236314e34d07ff8908afa19282707"),
+    "limits --k 4 --terms 997 --precision 597 --format json":
+        (0, "4afd64b6f042bfbdd168a9993e276fc196d259d6a42435af6378a35b570d2724"),
+    "limits --k 100 --terms 1248 --precision 2493":
+        (0, "1ec383d59cd9dc0fa4436e41bbd1636f2136045fbf20c095004128ed57370f63"),
+    "limits --k 2 --terms 8293 --precision 2492":
+        (0, "76ce446582d81442bfdf826d719a19aed61efe1c84adc815b360eaead2d73870"),
+}
+
 CASES = (
     [(None, (*argv, "--format", fmt)) for argv in COMMANDS for fmt in FORMATS]
     + [(None, argv) for argv in LARGE_COUNTS]
@@ -123,6 +140,13 @@ def test_output_matches_golden(golden, fault, argv):
     if fault is not None:
         assert got["exit"] == EXIT_VIOLATIONS
     assert got == golden[case_id(fault, argv)]
+
+
+@pytest.mark.parametrize("command", LARGE_LIMITS)
+def test_large_limits_match_digest(command):
+    got = capture(None, tuple(command.split()))
+    digest = hashlib.sha256(got["stdout"].encode()).hexdigest()
+    assert (got["exit"], digest) == LARGE_LIMITS[command]
 
 
 def test_golden_file_has_no_stale_cases(golden):
