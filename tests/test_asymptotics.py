@@ -204,9 +204,6 @@ def test_format_decimal():
     # ties round to even
     assert format_decimal(Fraction(1, 8), 2) == "0.12"
     assert format_decimal(Fraction(3, 8), 2) == "0.38"
-
-
-def test_format_decimal_ties_on_both_sides_of_zero():
     assert format_decimal(Fraction(-1, 8), 2) == "-0.12"
     assert format_decimal(Fraction(-3, 8), 2) == "-0.38"
     halves = [format_decimal(Fraction(n, 2), 0) for n in (-5, -3, -1, 1, 3, 5)]
@@ -215,21 +212,19 @@ def test_format_decimal_ties_on_both_sides_of_zero():
     assert format_decimal(Fraction(-1, 3), 0) == "0"
 
 
-@pytest.mark.parametrize("places", [0, 1, 3, 8])
-@pytest.mark.parametrize("whole", [3, -3])
-def test_certificate_needs_less_than_half_an_ulp(places, whole):
-    # over den = 14 * 10^places, half an ulp is 7 units: a bracket 7 units
-    # wide is refused, one 6 units wide is certified
-    den = 14 * 10**places
-    lo = whole * den
-    assert asymptotics._certified_decimal(lo, lo + 7, den, places) is None
-    want = f"{whole}." + "0" * places if places else str(whole)
-    assert asymptotics._certified_decimal(lo, lo + 6, den, places) == want
-
-
 @pytest.mark.parametrize(
     "lo,hi,den,places,want",
     [
+        # over den = 14 * 10^places, half an ulp is 7 units: a bracket 7
+        # units wide is refused, one 6 units wide is certified
+        (42, 49, 14, 0, None),
+        (42, 48, 14, 0, "3"),
+        (-42, -35, 14, 0, None),
+        (-42, -36, 14, 0, "-3"),
+        (42 * 10**3, 42 * 10**3 + 7, 14 * 10**3, 3, None),
+        (42 * 10**3, 42 * 10**3 + 6, 14 * 10**3, 3, "3.000"),
+        (-42 * 10**8, -42 * 10**8 + 7, 14 * 10**8, 8, None),
+        (-42 * 10**8, -42 * 10**8 + 6, 14 * 10**8, 8, "-3.00000000"),
         (124, 126, 1000, 2, "0.12"),  # midpoint 0.125 rounds down to even
         (374, 376, 1000, 2, "0.38"),  # midpoint 0.375 rounds up to even
         (-126, -124, 1000, 2, "-0.12"),
@@ -243,7 +238,7 @@ def test_certificate_needs_less_than_half_an_ulp(places, whole):
         (1, 2, 10**9, 8, "0.00000000"),
     ],
 )
-def test_certified_decimal_rounds_half_to_even(lo, hi, den, places, want):
+def test_certified_decimal(lo, hi, den, places, want):
     assert asymptotics._certified_decimal(lo, hi, den, places) == want
 
 
