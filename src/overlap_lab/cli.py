@@ -325,6 +325,8 @@ def cmd_count(args: argparse.Namespace) -> Result:
         raise InvalidInputError(f"--n must be at least 1, got {args.n_max}")
     k, quantities = args.k, args.quantities
     cache = CountCache(k)
+    if quantities != ("u",):  # one pair fill to n, not one per row
+        cache.mutually_bordered(args.n_max)
     counts = {
         "M": counting.mutually_bordered_count,
         "R": counting.right_bordered_count,

@@ -43,9 +43,13 @@ The building blocks:
   S_p(z)(1 - kz)^2 = z^(4p) - 2z^(2p) G_p(z^2) + S_p(z^2):
     S_p(N) = 2k*S_p(N-1) - k^2*S_p(N-2) + [N=4p]
              - [N-2p even, >= 0]*2*g_p((N-2p)/2) + [N even]*S_p(N/2),
-  zero below N = 4p.  Each step is a few big-integer operations, so row
-  n reads one C entry and one S_p entry for each p <= n/3, and g_p is
-  needed only up to length (n - p)/2.
+  zero below N = 4p.  Each step is a few big-integer operations.
+* The pair tables fill p by p.  The close rows come first; then for each
+  p <= n/3 in order, g_p runs to length (n - p)/2 and S_p to n + p, and
+  (U_p - u_p)*S_p(j + p) goes into every row j >= 3p before both lists
+  are dropped.  U_p is final when p is reached, since row p takes only
+  seeds p' <= p/3 < p.  So the tables that stay alive, u, C and the rows,
+  hold O(n^2) bits, where one S_p list per p would hold Theta(n^3).
 * right_bordered_count and mutually_unbordered_count follow from M_n and
   the unbordered table.  The pairs with a right-border number
   M_n + R_n = k^(2n) - u_(2n) - u_n.  Proof: a border of w = vu shorter
@@ -68,18 +72,14 @@ from .errors import InvalidInputError
 class CountCache:
     """Memoized count tables for one alphabet size.
 
-    Each new length extends every table by one step of a running
-    recurrence (see the module docstring), so row n costs about n/3 steps
-    and nothing convolves.  u and every g_t take Nielsen's step
-    tbl[m] = k*tbl[m-1] - tbl[m/2].  The close sum C(n) and the far sums
-    S_p(N), squares of those series, take the squared step
-    sq[N] = 2k*sq[N-1] - k^2*sq[N-2] - 2c*f[(N-s)/2] + sq[N/2], from
-    F(z)(1 - kz) = c*z^s - F(z^2) with (f, s, c) = (u, 1, k) for C and
-    (g_p, 2p, 1) for S_p.  Then close_n = k^2*close_(n-1) + C(n), and row
-    n adds (U_p - u_p)*S_p(n + p) for each p <= n/3.  R and U need no
-    recurrence of their own: the borders of vu shorter than n are the
-    right-borders of (u, v), so M_n + R_n = k^(2n) - u_(2n) - u_n, and
-    U_n = M_n + 2*(u_(2n) + u_n) - k^(2n).
+    Every table runs a recurrence from the module docstring, so nothing
+    convolves.  A pair fill to n builds the close rows, then each S_p
+    once, from 4p to n + p, adds it into every row it reaches and drops
+    it, so no S_p outlives the fill.  The rows are published only after
+    the last p.  A request past the filled rows fills to at least half
+    again as many, since the next fill restarts every S_p.  The g_t
+    tables behind g() grow on demand, apart from the pair fill.  R and
+    U come from M and u through the borders of vu.
 
     Memoization is semantically transparent: a warm cache returns exactly
     what a cold one would, in any order of requests.  Instances may be
@@ -95,11 +95,9 @@ class CountCache:
         self._g_tables: dict[int, list[int]] = {}
         self._mutual: dict[int, int] = {}
         self._neither: dict[int, int] = {}
-        self._close: dict[int, int] = {0: 0}
-        # C(n) = sum_(0<a<n) u_a*u_(n-a), the square of V = U - 1, and
-        # S_t(N), the square of G_t; zero below 2 and 4t, seeded there
+        # C(n) = sum_(0<a<n) u_a*u_(n-a), the square of V = U - 1; zero
+        # below 2 and seeded there
         self._v_square: list[int] = [0, 0, k * k]
-        self._g_squares: dict[int, list[int]] = {}
 
     def unbordered(self, n: int) -> int:
         if n < 0:
@@ -151,46 +149,66 @@ class CountCache:
             tbl.append(value)
         return tbl
 
-    def _square_locked(self, sq: list[int], f: list[int], n: int, s: int, c: int) -> list[int]:
-        # extend sq to index n, where sq[N] = [z^N] F(z)^2 for the series
-        # F(z) = sum f[m] z^m with F(z)(1 - kz) = c*z^s - F(z^2); squaring
-        # gives sq[N] = 2k*sq[N-1] - k^2*sq[N-2] - 2c*f[(N-s)/2] + sq[N/2],
-        # a term only where its index is whole.  f must reach (n - s)/2.
+    def _far_square(self, p: int, n: int) -> list[int]:
+        # S_p(N) = [z^N] G_p(z)^2 for N <= n (n >= 4p), two steps at a time:
+        # the odd step N = 2h - 1 has no half-index terms, the even step
+        # N = 2h adds S_p(h) and subtracts 2*g_p(h - p).  g_p is read only
+        # to n/2 - p.
         k = self.k
-        while len(sq) <= n:
-            m = len(sq)
-            value = 2 * k * sq[m - 1] - k * k * sq[m - 2]
-            if (m - s) % 2 == 0:
-                value -= 2 * c * f[(m - s) // 2]
-            if m % 2 == 0:
-                value += sq[m // 2]
-            sq.append(value)
+        twice_k, k2 = 2 * k, k * k
+        g = self._nielsen_locked([0] * (2 * p) + [1], n // 2 - p, 4 * p)
+        sq = [0] * (4 * p) + [1]
+        a, b = 0, 1
+        for h in range(2 * p + 1, n // 2 + 1):
+            a = twice_k * b - k2 * a
+            b = twice_k * a - k2 * b + sq[h] - 2 * g[h - p]
+            sq += a, b
+        if n % 2:
+            sq.append(twice_k * b - k2 * a)
         return sq
 
     def _ensure_pairs_locked(self, n: int) -> None:
         if n < 1:
             raise InvalidInputError(f"length must be at least 1, got {n}")
-        k2 = self.k * self.k
-        u = self._nielsen_locked(self._unbordered, 2 * n, 2)
-        for j in range(len(self._mutual) + 1, n + 1):
-            # close pairs: overlap lengths a = lso(u,v), b = lso(v,u) with
-            # a + b <= j; the two shortest overlaps are disjoint unbordered
-            # blocks and the middles are free
-            close = self._square_locked(self._v_square, u, j, 1, self.k)[j]
-            mutual = self._close[j] = k2 * self._close[j - 1] + close
-            # far pairs: a + b > j; seeded by an ordered mutually unbordered
-            # pair of distinct length-p words sitting at both ends
-            for p in range(1, j // 3 + 1):
-                g = self._g_table_locked(p, (j - p) // 2)
-                sq = self._g_squares.get(p)
-                if sq is None:
-                    sq = self._g_squares[p] = [0] * (4 * p) + [1]
-                far = self._square_locked(sq, g, j + p, 2 * p, 1)[j + p]
-                mutual += (self._neither[p] - u[p]) * far
+        filled = len(self._mutual)
+        if n <= filled:
+            return
+        # a fill costs about as much as a cold one to its top, since every
+        # S_p restarts from 4p; growing by half again keeps rows asked one
+        # at a time within a small factor of one cold fill
+        top = max(n, 3 * filled // 2)
+        k = self.k
+        k2 = k * k
+        u = self._nielsen_locked(self._unbordered, 2 * top, 2)
+        # close pairs: overlap lengths a = lso(u,v), b = lso(v,u) with
+        # a + b <= j; the two shortest overlaps are disjoint unbordered
+        # blocks and the middles are free
+        sq = self._v_square
+        for m in range(len(sq), top + 1):
+            value = 2 * k * sq[m - 1] - k2 * sq[m - 2]
+            value += sq[m // 2] if m % 2 == 0 else -2 * k * u[(m - 1) // 2]
+            sq.append(value)
+        rows = [0] * (top + 1)
+        for j in range(1, top + 1):
+            rows[j] = k2 * rows[j - 1] + sq[j]
+
+        def neither(j: int) -> int:
             # no border in either direction, from M_j + R_j = k^(2j) - u_(2j) - u_j
-            self._neither[j] = mutual + 2 * (u[2 * j] + u[j]) - k2**j
-            # written last, so an interrupted fill redoes row j from the start
-            self._mutual[j] = mutual
+            return rows[j] + 2 * (u[2 * j] + u[j]) - k2**j
+
+        # far pairs: a + b > j; seeded by an ordered mutually unbordered
+        # pair of distinct length-p words sitting at both ends.  Seed
+        # lengths run in order, so U_p is final when p is reached: row p
+        # takes only seeds p' <= p/3 < p.
+        for p in range(1, top // 3 + 1):
+            seeds = (neither(p) if p > filled else self._neither[p]) - u[p]
+            far = self._far_square(p, top + p)
+            for j in range(max(filled + 1, 3 * p), top + 1):
+                rows[j] += seeds * far[j + p]
+        # published only now, _mutual last, so an interrupted fill leaves
+        # no partial row and the next request redoes the whole fill
+        self._neither.update((j, neither(j)) for j in range(filled + 1, top + 1))
+        self._mutual.update((j, rows[j]) for j in range(filled + 1, top + 1))
 
 
 def _resolve_cache(k: int, cache: CountCache | None) -> CountCache:

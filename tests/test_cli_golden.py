@@ -99,6 +99,13 @@ LARGE_LIMITS = {
         (0, "76ce446582d81442bfdf826d719a19aed61efe1c84adc815b360eaead2d73870"),
 }
 
+# a count table far past the golden file's, recorded when the fill still
+# kept one S_p list per seed length for the whole fill
+LARGE_COUNTS_DIGEST = {
+    "count --k 2 --n 1600 --format csv":
+        (0, "7c50c4bd8843813d736cdd1fefbea1a74d0f71458e981da77af9c4382cf56dba"),
+}
+
 CASES = (
     [(None, (*argv, "--format", fmt)) for argv in COMMANDS for fmt in FORMATS]
     + [(None, argv) for argv in LARGE_COUNTS]
@@ -147,6 +154,13 @@ def test_large_limits_match_digest(command):
     got = capture(None, tuple(command.split()))
     digest = hashlib.sha256(got["stdout"].encode()).hexdigest()
     assert (got["exit"], digest) == LARGE_LIMITS[command]
+
+
+@pytest.mark.parametrize("command", LARGE_COUNTS_DIGEST)
+def test_large_count_matches_digest(command):
+    got = capture(None, tuple(command.split()))
+    digest = hashlib.sha256(got["stdout"].encode()).hexdigest()
+    assert (got["exit"], digest) == LARGE_COUNTS_DIGEST[command]
 
 
 def test_golden_file_has_no_stale_cases(golden):

@@ -5,7 +5,9 @@ both the counting module and the oracle module, so they can act as a
 neutral referee for the closed-form recurrences.
 """
 
+import functools
 import itertools
+import random
 import sys
 import threading
 import tracemalloc
@@ -29,6 +31,7 @@ from overlap_lab import (
     s_count,
     unbordered_count,
 )
+from overlap_lab.cli import main
 
 # frozen prefixes of the unbordered-word counts
 UNBORDERED_K2 = [1, 2, 2, 4, 6, 12, 20, 40, 74, 148, 284, 568, 1116, 2232, 4424]
@@ -513,9 +516,12 @@ def test_close_and_far_recurrences_match_direct_sums(k):
     cache = CountCache(k)
     cache.mutually_bordered(300)
     assert cache._v_square[:301] == reference_close_sums(k, 300)
-    # a fill to n runs S_p to n + p, so every S_p reaches 200
+    # the fill builds each S_p with this step, two lengths at a time, and
+    # drops it; an odd end takes one more step
     for p in range(1, 21):
-        assert cache._g_squares[p][:201] == reference_g_squares(k, p, 200)
+        want = reference_g_squares(k, p, 200)
+        assert cache._far_square(p, 200) == want
+        assert cache._far_square(p, 199) == want[:200]
 
 
 @pytest.mark.parametrize("k,n_max", [(2, 400), (3, 200), (1, 80), (10, 80)])
@@ -526,26 +532,42 @@ def test_pair_rows_match_convolutions(k, n_max):
     )
 
 
-# (s, n) of the square step to interrupt in row 50: the close sum C(50),
-# and S_10(60), the far sum of the tenth seed length
-@pytest.mark.parametrize("step", [(1, 50), (20, 60)], ids=["close", "far"])
+# where a cold fill to 80 stops: building S_1, the first far sum after the
+# close rows; S_10, a middle one; S_26, the last; and around either update
+# that publishes the rows
+@pytest.mark.parametrize(
+    "where", [1, 10, 26, "_neither", "_mutual"], ids=["first-far", "far", "last-far", "_neither", "_mutual"]
+)
 @pytest.mark.parametrize("when", ["before", "after"])
-def test_interrupted_fill_finishes_like_a_cold_one(monkeypatch, step, when):
-    square = CountCache._square_locked
-
-    def interrupted(self, sq, f, n, s, c):
-        if (s, n) == step and when == "before":
-            raise KeyboardInterrupt
-        result = square(self, sq, f, n, s, c)
-        if (s, n) == step:
-            raise KeyboardInterrupt
-        return result
-
+def test_interrupted_fill_finishes_like_a_cold_one(monkeypatch, where, when):
     cache = CountCache(2)
-    monkeypatch.setattr(CountCache, "_square_locked", interrupted)
+    if isinstance(where, int):
+        far_square = CountCache._far_square
+
+        def interrupted(self, p, n):
+            if p == where and when == "before":
+                raise KeyboardInterrupt
+            result = far_square(self, p, n)
+            if p == where:
+                raise KeyboardInterrupt
+            return result
+
+        monkeypatch.setattr(CountCache, "_far_square", interrupted)
+    else:
+
+        class Interrupted(dict):
+            def update(self, rows):
+                if when == "after":
+                    super().update(rows)
+                setattr(cache, where, dict(self))
+                raise KeyboardInterrupt
+
+        setattr(cache, where, Interrupted(getattr(cache, where)))
     with pytest.raises(KeyboardInterrupt):
         cache.mutually_bordered(80)
     monkeypatch.undo()
+    # no partial rows: the fill publishes all 80 or none
+    assert len(cache._mutual) in (0, 80)
     cold = CountCache(2)
     assert [pair_row(cache, n) for n in range(1, 81)] == [pair_row(cold, n) for n in range(1, 81)]
     for t in (1, 10, 26):
@@ -553,9 +575,8 @@ def test_interrupted_fill_finishes_like_a_cold_one(monkeypatch, step, when):
 
 
 def test_pair_fill_holds_g_tables_only_to_half_length():
-    # row j reads g_p only up to (j - p)/2; a fill that grew every g_p to
-    # j + p, as the direct far sums need, peaks at 5.5 MB here against
-    # 2.5 MB for the real code
+    # row j reads g_p only up to (j - p)/2, and no g_p or S_p list outlives
+    # its own p, so the fill to 400 peaks at 0.2 MiB
     tracemalloc.start()
     try:
         CountCache(2).mutually_bordered(400)
@@ -563,3 +584,54 @@ def test_pair_fill_holds_g_tables_only_to_half_length():
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
+
+
+def test_pair_fill_holds_one_far_sum_at_a_time():
+    # each S_p is built, added into every row it reaches and dropped; one
+    # S_p list per p alive at once peaks at 11.5 MiB here, the p-by-p fill
+    # at 0.6 MiB
+    tracemalloc.start()
+    try:
+        CountCache(2).mutually_bordered(800)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
+@functools.cache
+def convolution_rows(k: int, n_max: int) -> tuple[tuple[int, int, int], ...]:
+    return tuple(reference_convolution_table(k, n_max))
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", "extended"])
+@pytest.mark.parametrize("k", [1, 2, 3, 10])
+def test_rows_equal_convolutions_in_any_request_order(k, order):
+    want = convolution_rows(k, 120)
+    lengths = list(range(1, 121))
+    if order == "descending":
+        lengths.reverse()
+    elif order == "shuffled":
+        random.Random(k).shuffle(lengths)
+    elif order == "extended":
+        # a fill to 50; 51 grows it by half again, to 75; 120 goes past that
+        lengths = [50, 51, 120, *lengths]
+    cache = CountCache(k)
+    got = {n: pair_row(cache, n) for n in lengths}
+    assert tuple(got[n] for n in range(1, 121)) == want
+
+
+@pytest.mark.parametrize("quantities,fills", [("M,R,U,u", [130]), ("u", [])])
+def test_count_runs_one_pair_fill(monkeypatch, capsys, quantities, fills):
+    seen: list[int] = []
+    ensure = CountCache._ensure_pairs_locked
+
+    def counted(self, n):
+        if n > len(self._mutual):
+            seen.append(n)
+        return ensure(self, n)
+
+    monkeypatch.setattr(CountCache, "_ensure_pairs_locked", counted)
+    assert main(["count", "--k", "2", "--n", "130", "--quantities", quantities]) == 0
+    assert seen == fills
+    assert len(capsys.readouterr().out.splitlines()) > 130
