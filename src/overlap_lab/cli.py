@@ -37,13 +37,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import operator
 import os
 import re
 import sys
 from collections.abc import Callable
 from fractions import Fraction
-from itertools import compress, count
 from typing import NamedTuple
 
 from . import counting
@@ -84,7 +82,6 @@ _LETTERS = b"abcdefghijklmnopqrstuvwxyz"
 _SYMBOL_OF = bytes.maketrans(_DIGITS + _LETTERS, bytes(range(10)) + bytes(range(26)))
 _DIGIT_OF = bytes.maketrans(bytes(range(10)), _DIGITS)
 _LETTER_OF = bytes.maketrans(bytes(range(26)), _LETTERS)
-_DIGIT_ENTRY = re.compile("[0-9]+")
 
 
 def parse_word(text: str, k: int, *, letters: bool = False) -> Word:
@@ -145,28 +142,18 @@ def _comma_symbols(text: str, k: int) -> tuple[int, ...]:
 
 def _entry_error(parts: list[str], k: int) -> InvalidInputError:
     """The error for the first entry that is not a decimal symbol below k."""
-    # parts before `plain` are ASCII digit strings; of those, int() refuses
-    # any with more digits than the interpreter's limit, leading zeros too
-    plain = next(
-        compress(count(), map(operator.not_, map(_DIGIT_ENTRY.fullmatch, parts))),
-        len(parts),
-    )
+    # int() refuses more digits than the interpreter's limit, if one is
+    # set, counting leading zeros but not the sign
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    readable = plain
-    if limit:
-        readable = next(compress(count(), map(limit.__lt__, map(len, parts[:plain]))), plain)
-    pos = next(compress(count(), map(k.__le__, map(int, parts[:readable]))), readable)
-    part = parts[pos]
-    try:
-        if not _DIGIT_ENTRY.fullmatch(part.removeprefix("-")):
-            raise ValueError(part)
-        sym = int(part)  # also fails past int's digit limit
-    except ValueError:
-        return InvalidInputError(f"entry {part!r} at position {pos} is not an integer")
-    # -0 is named as typed, since int() drops its sign
-    return InvalidInputError(
-        f"symbol {sym or part} at position {pos} is outside the alphabet 0..{k - 1}"
-    )
+    for pos, part in enumerate(parts):
+        digits = part.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()) or 0 < limit < len(digits):
+            return InvalidInputError(f"entry {part!r} at position {pos} is not an integer")
+        if digits != part or int(part) >= k:
+            # -0 is named as typed, since int() drops its sign
+            return InvalidInputError(
+                f"symbol {int(part) or part} at position {pos} is outside the alphabet 0..{k - 1}"
+            )
 
 
 class Table(NamedTuple):

@@ -47,9 +47,10 @@ The building blocks:
 * The pair tables fill p by p.  The close rows come first; then for each
   p <= n/3 in order, g_p runs to length (n - p)/2 and S_p to n + p, and
   (U_p - u_p)*S_p(j + p) goes into every row j >= 3p before both lists
-  are dropped.  U_p is final when p is reached, since row p takes only
-  seeds p' <= p/3 < p.  So the tables that stay alive, u, C and the rows,
-  hold O(n^2) bits, where one S_p list per p would hold Theta(n^3).
+  are dropped.  U_p comes from M_p (below), which is final when p is
+  reached, since row p takes only seeds p' <= p/3 < p.  So the tables
+  that stay alive, u, C and the M rows, hold O(n^2) bits, where one S_p
+  list per p would hold Theta(n^3).
 * right_bordered_count and mutually_unbordered_count follow from M_n and
   the unbordered table.  The pairs with a right-border number
   M_n + R_n = k^(2n) - u_(2n) - u_n.  Proof: a border of w = vu shorter
@@ -75,11 +76,11 @@ class CountCache:
     Every table runs a recurrence from the module docstring, so nothing
     convolves.  A pair fill to n builds the close rows, then each S_p
     once, from 4p to n + p, adds it into every row it reaches and drops
-    it, so no S_p outlives the fill.  The rows are published only after
-    the last p.  A request past the filled rows fills to at least half
-    again as many, since the next fill restarts every S_p.  The g_t
-    tables behind g() grow on demand, apart from the pair fill.  R and
-    U come from M and u through the borders of vu.
+    it, so no S_p outlives the fill.  The M rows are published in one
+    assignment after the last p.  A request past the filled rows fills
+    to at least half again as many, since the next fill restarts every
+    S_p.  The g_t tables behind g() grow on demand, apart from the pair
+    fill.  R and U are lookups, from M and u through the borders of vu.
 
     Memoization is semantically transparent: a warm cache returns exactly
     what a cold one would, in any order of requests.  Instances may be
@@ -93,8 +94,8 @@ class CountCache:
         self._lock = threading.RLock()
         self._unbordered: list[int] = [1]
         self._g_tables: dict[int, list[int]] = {}
-        self._mutual: dict[int, int] = {}
-        self._neither: dict[int, int] = {}
+        # M_n at index n, with a placeholder at 0
+        self._mutual: list[int] = [0]
         # C(n) = sum_(0<a<n) u_a*u_(n-a), the square of V = U - 1; zero
         # below 2 and seeded there
         self._v_square: list[int] = [0, 0, k * k]
@@ -127,7 +128,8 @@ class CountCache:
     def mutually_unbordered(self, n: int) -> int:
         with self._lock:
             self._ensure_pairs_locked(n)
-            return self._neither[n]
+            u = self._unbordered
+            return self._mutual[n] + 2 * (u[2 * n] + u[n]) - self.k ** (2 * n)
 
     def _g_table_locked(self, t: int, n: int) -> list[int]:
         # index by length: zero below 2t, too short to hold both ends of a
@@ -170,7 +172,7 @@ class CountCache:
     def _ensure_pairs_locked(self, n: int) -> None:
         if n < 1:
             raise InvalidInputError(f"length must be at least 1, got {n}")
-        filled = len(self._mutual)
+        filled = len(self._mutual) - 1
         if n <= filled:
             return
         # a fill costs about as much as a cold one to its top, since every
@@ -191,24 +193,20 @@ class CountCache:
         rows = [0] * (top + 1)
         for j in range(1, top + 1):
             rows[j] = k2 * rows[j - 1] + sq[j]
-
-        def neither(j: int) -> int:
-            # no border in either direction, from M_j + R_j = k^(2j) - u_(2j) - u_j
-            return rows[j] + 2 * (u[2 * j] + u[j]) - k2**j
-
+        # the published rows are final already, and seeds p <= filled read them
+        rows[: filled + 1] = self._mutual
         # far pairs: a + b > j; seeded by an ordered mutually unbordered
-        # pair of distinct length-p words sitting at both ends.  Seed
-        # lengths run in order, so U_p is final when p is reached: row p
-        # takes only seeds p' <= p/3 < p.
+        # pair of distinct length-p words sitting at both ends, U_p - u_p
+        # of them.  Seed lengths run in order, so M_p is final when p is
+        # reached: row p takes only seeds p' <= p/3 < p.
         for p in range(1, top // 3 + 1):
-            seeds = (neither(p) if p > filled else self._neither[p]) - u[p]
+            seeds = rows[p] + 2 * u[2 * p] + u[p] - k2**p
             far = self._far_square(p, top + p)
             for j in range(max(filled + 1, 3 * p), top + 1):
                 rows[j] += seeds * far[j + p]
-        # published only now, _mutual last, so an interrupted fill leaves
-        # no partial row and the next request redoes the whole fill
-        self._neither.update((j, neither(j)) for j in range(filled + 1, top + 1))
-        self._mutual.update((j, rows[j]) for j in range(filled + 1, top + 1))
+        # published only now, in one assignment, so an interrupted fill
+        # leaves no partial row and the next request redoes the whole fill
+        self._mutual = rows
 
 
 def _resolve_cache(k: int, cache: CountCache | None) -> CountCache:

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress, count, repeat
-from operator import ge, lt
 from typing import Iterator, Sequence
 
 from .errors import InvalidInputError
@@ -55,11 +53,7 @@ class Word:
             object.__setattr__(self, "symbols", tuple(self.symbols))
         symbols, k = self.symbols, self.alphabet.k
         if symbols and not (0 <= min(symbols) and max(symbols) < k):
-            n = len(symbols)
-            pos = min(
-                next(compress(count(), map(lt, symbols, repeat(0))), n),
-                next(compress(count(), map(ge, symbols, repeat(k))), n),
-            )
+            pos = next(pos for pos, sym in enumerate(symbols) if not 0 <= sym < k)
             raise InvalidInputError(
                 f"symbol {symbols[pos]} at position {pos} is outside the alphabet 0..{k - 1}"
             )

@@ -532,43 +532,36 @@ def test_pair_rows_match_convolutions(k, n_max):
     )
 
 
-# where a cold fill to 80 stops: building S_1, the first far sum after the
-# close rows; S_10, a middle one; S_26, the last; and around either update
-# that publishes the rows
+# where a fill to 80 stops: building S_1, the first far sum after the
+# close rows; S_10, a middle one; S_26, the last.  The warm case fills to
+# 40 first, so the interrupted fill takes every seed from published rows.
 @pytest.mark.parametrize(
-    "where", [1, 10, 26, "_neither", "_mutual"], ids=["first-far", "far", "last-far", "_neither", "_mutual"]
+    "warm,where", [(0, 1), (0, 10), (0, 26), (40, 10)], ids=["first-far", "far", "last-far", "warm"]
 )
 @pytest.mark.parametrize("when", ["before", "after"])
-def test_interrupted_fill_finishes_like_a_cold_one(monkeypatch, where, when):
-    cache = CountCache(2)
-    if isinstance(where, int):
-        far_square = CountCache._far_square
+def test_interrupted_fill_finishes_like_a_cold_one(monkeypatch, warm, where, when):
+    cache, cold = CountCache(2), CountCache(2)
+    if warm:
+        cache.mutually_bordered(warm)
+    far_square = CountCache._far_square
 
-        def interrupted(self, p, n):
-            if p == where and when == "before":
-                raise KeyboardInterrupt
-            result = far_square(self, p, n)
-            if p == where:
-                raise KeyboardInterrupt
-            return result
+    def interrupted(self, p, n):
+        if p == where and when == "before":
+            raise KeyboardInterrupt
+        result = far_square(self, p, n)
+        if p == where:
+            raise KeyboardInterrupt
+        return result
 
-        monkeypatch.setattr(CountCache, "_far_square", interrupted)
-    else:
-
-        class Interrupted(dict):
-            def update(self, rows):
-                if when == "after":
-                    super().update(rows)
-                setattr(cache, where, dict(self))
-                raise KeyboardInterrupt
-
-        setattr(cache, where, Interrupted(getattr(cache, where)))
+    monkeypatch.setattr(CountCache, "_far_square", interrupted)
     with pytest.raises(KeyboardInterrupt):
         cache.mutually_bordered(80)
     monkeypatch.undo()
-    # no partial rows: the fill publishes all 80 or none
-    assert len(cache._mutual) in (0, 80)
-    cold = CountCache(2)
+    # no partial rows: the fill published none of its 80, and the rows
+    # published before it still answer without a refill
+    head = range(1, warm + 1)
+    assert [pair_row(cache, n) for n in head] == [pair_row(cold, n) for n in head]
+    assert len(cache._mutual) - 1 == warm
     assert [pair_row(cache, n) for n in range(1, 81)] == [pair_row(cold, n) for n in range(1, 81)]
     for t in (1, 10, 26):
         assert [cache.g(t, n) for n in range(t, 81)] == [cold.g(t, n) for n in range(t, 81)]
@@ -627,7 +620,7 @@ def test_count_runs_one_pair_fill(monkeypatch, capsys, quantities, fills):
     ensure = CountCache._ensure_pairs_locked
 
     def counted(self, n):
-        if n > len(self._mutual):
+        if n > len(self._mutual) - 1:
             seen.append(n)
         return ensure(self, n)
 
