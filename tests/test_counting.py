@@ -532,28 +532,33 @@ def test_pair_rows_match_convolutions(k, n_max):
     )
 
 
-# where a fill to 80 stops: building S_1, the first far sum after the
+# where a fill to 80 stops: extending the u table, which outlives the
+# fill, before any row is built; building S_1, the first far sum after the
 # close rows; S_10, a middle one; S_26, the last.  The warm case fills to
 # 40 first, so the interrupted fill takes every seed from published rows.
 @pytest.mark.parametrize(
-    "warm,where", [(0, 1), (0, 10), (0, 26), (40, 10)], ids=["first-far", "far", "last-far", "warm"]
+    "warm,where",
+    [(0, "u"), (0, 1), (0, 10), (0, 26), (40, 10)],
+    ids=["unbordered", "first-far", "far", "last-far", "warm"],
 )
 @pytest.mark.parametrize("when", ["before", "after"])
 def test_interrupted_fill_finishes_like_a_cold_one(monkeypatch, warm, where, when):
     cache, cold = CountCache(2), CountCache(2)
     if warm:
         cache.mutually_bordered(warm)
-    far_square = CountCache._far_square
+    name = "_nielsen_locked" if where == "u" else "_far_square"
+    step = getattr(CountCache, name)
 
-    def interrupted(self, p, n):
-        if p == where and when == "before":
+    def interrupted(self, first, *rest):
+        hit = first is self._unbordered if where == "u" else first == where
+        if hit and when == "before":
             raise KeyboardInterrupt
-        result = far_square(self, p, n)
-        if p == where:
+        result = step(self, first, *rest)
+        if hit:
             raise KeyboardInterrupt
         return result
 
-    monkeypatch.setattr(CountCache, "_far_square", interrupted)
+    monkeypatch.setattr(CountCache, name, interrupted)
     with pytest.raises(KeyboardInterrupt):
         cache.mutually_bordered(80)
     monkeypatch.undo()
