@@ -31,26 +31,24 @@ The building blocks:
   distinct words of length p = i + j - n <= n/3; they add
   (U_p - u_p) * S_p(n + p) for each p, with
   S_p(N) = sum_a g_p(a)*g_p(N-a).
-* Neither convolution is summed term by term.  Each is the square of a
-  series with a Nielsen-type functional equation, and squaring the
-  equation gives a running recurrence.  With V(z) = sum_(n>=1) u_n z^n,
-  Nielsen's recurrence reads V(z)(1 - kz) = kz - V(z^2), so
-  C(z)(1 - kz)^2 = k^2 z^2 - 2kz V(z^2) + C(z^2):
-    C(n) = 2k*C(n-1) - k^2*C(n-2) + [n=2]*k^2
-           - [n odd, n>=3]*2k*u_((n-1)/2) + [n even]*C(n/2).
-  With G_p(z) = sum_m g_p(m) z^m, the g recurrence reads
-  G_p(z)(1 - kz) = z^(2p) - G_p(z^2), so
-  S_p(z)(1 - kz)^2 = z^(4p) - 2z^(2p) G_p(z^2) + S_p(z^2):
-    S_p(N) = 2k*S_p(N-1) - k^2*S_p(N-2) + [N=4p]
-             - [N-2p even, >= 0]*2*g_p((N-2p)/2) + [N even]*S_p(N/2),
-  zero below N = 4p.  Each step is a few big-integer operations.
-* The pair tables fill p by p.  The close rows come first; then for each
-  p <= n/3 in order, g_p runs to length (n - p)/2 and S_p to n + p, and
-  (U_p - u_p)*S_p(j + p) goes into every row j >= 3p before both lists
-  are dropped.  U_p comes from M_p (below), which is final when p is
-  reached, since row p takes only seeds p' <= p/3 < p.  So the tables
-  that stay alive, u, C and the M rows, hold O(n^2) bits, where one S_p
-  list per p would hold Theta(n^3).
+* Neither convolution is summed term by term.  Each is a coefficient of
+  F(z)^2 for a series F with F(z)(1 - kz) = c*z^(2r) - F(z^2), and
+  squaring that equation gives one step for sq(m) = [z^m] F(z)^2 past a
+  seed through index 4r:
+    sq(m) = 2k*sq(m-1) - k^2*sq(m-2) + [m even]*(sq(m/2) - 2c*f(m/2 - r)).
+  The close sums take F = u(z) = sum_n u_n z^n, with c = 2, r = 0 and
+  C(n) = [z^n] u(z)^2 - 2*u_n; S_p takes F = G_p, with c = 1, r = p.
+  Each step is a few big-integer operations.  u and every g_t run the
+  Nielsen step itself, subtracting at every even m; a g_t table is zero
+  below 2t.
+* The pair tables fill p by p.  The close rows come first, from u(z)^2;
+  then for each p <= n/3 in order, g_p runs to length (n - p + 1)/2 and
+  S_p to n + p or one past, and (U_p - u_p)*S_p(j + p) goes into every
+  row j >= 3p before both lists are dropped.  U_p comes from M_p (below),
+  which is final when p is reached, since row p takes only seeds
+  p' <= p/3 < p.  So the tables that stay alive, u, u(z)^2 and the M
+  rows, hold O(n^2) bits, where one S_p list per p would hold
+  Theta(n^3).
 * right_bordered_count and mutually_unbordered_count follow from M_n and
   the unbordered table.  The pairs with a right-border number
   M_n + R_n = k^(2n) - u_(2n) - u_n.  Proof: a border of w = vu shorter
@@ -73,10 +71,10 @@ from .errors import InvalidInputError
 class CountCache:
     """Memoized count tables for one alphabet size.
 
-    Every table runs a recurrence from the module docstring, so nothing
-    convolves.  A pair fill to n builds the close rows, then each S_p
-    once, from 4p to n + p, adds it into every row it reaches and drops
-    it, so no S_p outlives the fill.  The M rows are published in one
+    Every table runs the Nielsen step (u, each g_t) or its square
+    (u(z)^2, each S_p), so nothing convolves.  A pair fill to n builds
+    the close rows, then each S_p once, from 4p to n + p, adds it into
+    every row it reaches and drops it.  The M rows are published in one
     assignment after the last p.  A request past the filled rows fills
     to at least half again as many, since the next fill restarts every
     S_p.  The g_t tables behind g() grow on demand, apart from the pair
@@ -96,15 +94,14 @@ class CountCache:
         self._g_tables: dict[int, list[int]] = {}
         # M_n at index n, with a placeholder at 0
         self._mutual: list[int] = [0]
-        # C(n) = sum_(0<a<n) u_a*u_(n-a), the square of V = U - 1; zero
-        # below 2 and seeded there
-        self._v_square: list[int] = [0, 0, k * k]
+        # [z^m] u(z)^2, seeded to 2; C(m) = sq[m] - 2*u_m for m >= 1
+        self._u_square: list[int] = [1, 2 * k, 3 * k * k - 2 * k]
 
     def unbordered(self, n: int) -> int:
         if n < 0:
             raise InvalidInputError(f"length must be non-negative, got {n}")
         with self._lock:
-            return self._nielsen_locked(self._unbordered, n, 2)[n]
+            return self._nielsen_locked(self._unbordered, n)[n]
 
     def g(self, t: int, n: int) -> int:
         if t < 1 or n < t:
@@ -112,7 +109,12 @@ class CountCache:
         if n < 2 * t:
             return 0
         with self._lock:
-            return self._g_table_locked(t, n)[n]
+            tbl = self._g_tables.get(t)
+            if tbl is None:
+                # zero below 2t, too short to hold both ends of a mutually
+                # unbordered pair, and one at 2t, the seed pair itself
+                tbl = self._g_tables[t] = [0] * (2 * t) + [1]
+            return self._nielsen_locked(tbl, n)[n]
 
     def mutually_bordered(self, n: int) -> int:
         with self._lock:
@@ -131,42 +133,30 @@ class CountCache:
             u = self._unbordered
             return self._mutual[n] + 2 * (u[2 * n] + u[n]) - self.k ** (2 * n)
 
-    def _g_table_locked(self, t: int, n: int) -> list[int]:
-        # index by length: zero below 2t, too short to hold both ends of a
-        # mutually unbordered pair, and one at 2t, the seed pair itself
-        tbl = self._g_tables.get(t)
-        if tbl is None:
-            tbl = self._g_tables[t] = [0] * (2 * t) + [1]
-        return self._nielsen_locked(tbl, n, 4 * t)
-
-    def _nielsen_locked(self, tbl: list[int], n: int, start: int) -> list[int]:
+    def _nielsen_locked(self, tbl: list[int], n: int) -> list[int]:
         # extend tbl to index n by tbl[m] = k*tbl[m-1] - tbl[m/2], the
-        # subtraction only at even m >= start
+        # subtraction at even m
         k = self.k
         while len(tbl) <= n:
             m = len(tbl)
             value = k * tbl[m - 1]
-            if m % 2 == 0 and m >= start:
+            if m % 2 == 0:
                 value -= tbl[m // 2]
             tbl.append(value)
         return tbl
 
-    def _far_square(self, p: int, n: int) -> list[int]:
-        # S_p(N) = [z^N] G_p(z)^2 for N <= n (n >= 4p), two steps at a time:
-        # the odd step N = 2h - 1 has no half-index terms, the even step
-        # N = 2h adds S_p(h) and subtracts 2*g_p(h - p).  g_p is read only
-        # to n/2 - p.
+    def _square_locked(self, sq: list[int], f: list[int], c: int, r: int, n: int) -> list[int]:
+        # extend sq, [z^m] F(z)^2 for F(z)(1 - kz) = c*z^(2r) - F(z^2), to
+        # index n or n + 1, two steps at a time, so its length stays odd:
+        # the odd step has no half-index terms, the even step m = 2h adds
+        # sq[h] and subtracts 2c*f[h - r].  f is read only to (n + 1)/2 - r.
         k = self.k
         twice_k, k2 = 2 * k, k * k
-        g = self._nielsen_locked([0] * (2 * p) + [1], n // 2 - p, 4 * p)
-        sq = [0] * (4 * p) + [1]
-        a, b = 0, 1
-        for h in range(2 * p + 1, n // 2 + 1):
+        a, b = sq[-2], sq[-1]
+        for h in range(len(sq) // 2 + 1, (n + 1) // 2 + 1):
             a = twice_k * b - k2 * a
-            b = twice_k * a - k2 * b + sq[h] - 2 * g[h - p]
+            b = twice_k * a - k2 * b + sq[h] - 2 * c * f[h - r]
             sq += a, b
-        if n % 2:
-            sq.append(twice_k * b - k2 * a)
         return sq
 
     def _ensure_pairs_locked(self, n: int) -> None:
@@ -181,18 +171,14 @@ class CountCache:
         top = max(n, 3 * filled // 2)
         k = self.k
         k2 = k * k
-        u = self._nielsen_locked(self._unbordered, 2 * top, 2)
+        u = self._nielsen_locked(self._unbordered, 2 * top)
         # close pairs: overlap lengths a = lso(u,v), b = lso(v,u) with
         # a + b <= j; the two shortest overlaps are disjoint unbordered
         # blocks and the middles are free
-        sq = self._v_square
-        for m in range(len(sq), top + 1):
-            value = 2 * k * sq[m - 1] - k2 * sq[m - 2]
-            value += sq[m // 2] if m % 2 == 0 else -2 * k * u[(m - 1) // 2]
-            sq.append(value)
+        sq = self._square_locked(self._u_square, u, 2, 0, top)
         rows = [0] * (top + 1)
         for j in range(1, top + 1):
-            rows[j] = k2 * rows[j - 1] + sq[j]
+            rows[j] = k2 * rows[j - 1] + sq[j] - 2 * u[j]
         # the published rows are final already, and seeds p <= filled read them
         rows[: filled + 1] = self._mutual
         # far pairs: a + b > j; seeded by an ordered mutually unbordered
@@ -201,7 +187,8 @@ class CountCache:
         # reached: row p takes only seeds p' <= p/3 < p.
         for p in range(1, top // 3 + 1):
             seeds = rows[p] + 2 * u[2 * p] + u[p] - k2**p
-            far = self._far_square(p, top + p)
+            g = self._nielsen_locked([0] * (2 * p) + [1], (top - p + 1) // 2)
+            far = self._square_locked([0] * (4 * p) + [1], g, 1, p, top + p)
             for j in range(max(filled + 1, 3 * p), top + 1):
                 rows[j] += seeds * far[j + p]
         # published only now, in one assignment, so an interrupted fill

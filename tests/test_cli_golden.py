@@ -99,11 +99,16 @@ LARGE_LIMITS = {
         (0, "76ce446582d81442bfdf826d719a19aed61efe1c84adc815b360eaead2d73870"),
 }
 
-# a count table far past the golden file's, recorded when the fill still
-# kept one S_p list per seed length for the whole fill
+# count tables far past the golden file's: k = 2 recorded when the fill
+# still kept one S_p list per seed length for the whole fill, k = 3 and
+# k = 10 when the close sums still squared u(z) - 1 in a loop of their own
 LARGE_COUNTS_DIGEST = {
     "count --k 2 --n 1600 --format csv":
         (0, "7c50c4bd8843813d736cdd1fefbea1a74d0f71458e981da77af9c4382cf56dba"),
+    "count --k 3 --n 1600 --format csv":
+        (0, "c2ddf59248c0b1a3317f9c108e16024037c88cdef51022676e527f348af71d95"),
+    "count --k 10 --n 400 --format json":
+        (0, "529f287bd6e1b7621873e189aa2160436806148206e236f766e6f9340b672c64"),
 }
 
 CASES = (

@@ -515,13 +515,17 @@ def test_shared_cache_across_threads():
 def test_close_and_far_recurrences_match_direct_sums(k):
     cache = CountCache(k)
     cache.mutually_bordered(300)
-    assert cache._v_square[:301] == reference_close_sums(k, 300)
-    # the fill builds each S_p with this step, two lengths at a time, and
-    # drops it; an odd end takes one more step
+    sq, u = cache._u_square, cache._unbordered
+    # C(m) = [z^m] (u(z) - 1)^2 = [z^m] u(z)^2 - 2*u_m for m >= 1
+    assert [0] + [sq[m] - 2 * u[m] for m in range(1, 301)] == reference_close_sums(k, 300)
+    # the fill builds each S_p with the same step, two lengths at a time
+    # from an odd-length seed, and drops it, so an odd end stops one past;
+    # g_p is passed only to (n + 1)/2 - p, as far as the step may read
     for p in range(1, 21):
         want = reference_g_squares(k, p, 200)
-        assert cache._far_square(p, 200) == want
-        assert cache._far_square(p, 199) == want[:200]
+        for n in (200, 199):
+            g = reference_g_table(k, p, 200)[: (n - p + 1) // 2 + 1]
+            assert cache._square_locked([0] * (4 * p) + [1], g, 1, p, n) == want
 
 
 @pytest.mark.parametrize("k,n_max", [(2, 400), (3, 200), (1, 80), (10, 80)])
@@ -532,25 +536,32 @@ def test_pair_rows_match_convolutions(k, n_max):
     )
 
 
-# where a fill to 80 stops: extending the u table, which outlives the
-# fill, before any row is built; building S_1, the first far sum after the
-# close rows; S_10, a middle one; S_26, the last.  The warm case fills to
-# 40 first, so the interrupted fill takes every seed from published rows.
+# where a fill to 80 stops: extending the u table or the u(z)^2 table, both
+# of which outlive the fill, before any row is built; building S_1, the
+# first far sum after the close rows; S_10, a middle one; S_26, the last.
+# The warm cases fill to 40 first, so the interrupted fill takes every seed
+# from published rows.
 @pytest.mark.parametrize(
     "warm,where",
-    [(0, "u"), (0, 1), (0, 10), (0, 26), (40, 10)],
-    ids=["unbordered", "first-far", "far", "last-far", "warm"],
+    [(0, "u"), (0, "close"), (40, "close"), (0, 1), (0, 10), (0, 26), (40, 10)],
+    ids=["unbordered", "close", "warm-close", "first-far", "far", "last-far", "warm"],
 )
 @pytest.mark.parametrize("when", ["before", "after"])
 def test_interrupted_fill_finishes_like_a_cold_one(monkeypatch, warm, where, when):
     cache, cold = CountCache(2), CountCache(2)
     if warm:
         cache.mutually_bordered(warm)
-    name = "_nielsen_locked" if where == "u" else "_far_square"
+    name = "_nielsen_locked" if where == "u" else "_square_locked"
     step = getattr(CountCache, name)
 
     def interrupted(self, first, *rest):
-        hit = first is self._unbordered if where == "u" else first == where
+        if where == "u":
+            hit = first is self._unbordered
+        elif where == "close":
+            hit = first is self._u_square
+        else:
+            # the far sum S_p is the square with shift r = p
+            hit = rest[2] == where
         if hit and when == "before":
             raise KeyboardInterrupt
         result = step(self, first, *rest)
@@ -567,6 +578,8 @@ def test_interrupted_fill_finishes_like_a_cold_one(monkeypatch, warm, where, whe
     head = range(1, warm + 1)
     assert [pair_row(cache, n) for n in head] == [pair_row(cold, n) for n in head]
     assert len(cache._mutual) - 1 == warm
+    # the u(z)^2 table grows two entries at a time, so it keeps an odd length
+    assert len(cache._u_square) % 2 == 1
     assert [pair_row(cache, n) for n in range(1, 81)] == [pair_row(cold, n) for n in range(1, 81)]
     for t in (1, 10, 26):
         assert [cache.g(t, n) for n in range(t, 81)] == [cold.g(t, n) for n in range(t, 81)]
