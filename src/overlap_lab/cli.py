@@ -91,6 +91,8 @@ def parse_word(text: str, k: int, *, letters: bool = False) -> Word:
     map(int, ...); only a failed check looks for the offender.
     """
     alphabet = Alphabet(k)
+    if not text:
+        raise InvalidInputError("empty word")
     if letters or k <= 10:
         chars = _LETTERS if letters else _DIGITS[:k]
         if not text.isascii() or text.encode().translate(None, chars):
@@ -98,8 +100,6 @@ def parse_word(text: str, k: int, *, letters: bool = False) -> Word:
         symbols = tuple(text.encode().translate(_SYMBOL_OF))
     else:
         symbols = _comma_symbols(text, k)
-    if not symbols:
-        raise InvalidInputError("empty word")
     return Word(symbols, alphabet)
 
 

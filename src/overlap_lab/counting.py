@@ -41,14 +41,14 @@ The building blocks:
   Each step is a few big-integer operations.  u and every g_t run the
   Nielsen step itself, subtracting at every even m; a g_t table is zero
   below 2t.
-* The pair tables fill p by p.  The close rows come first, from u(z)^2;
-  then for each p <= n/3 in order, g_p runs to length (n - p + 1)/2 and
-  S_p to n + p or one past, and (U_p - u_p)*S_p(j + p) goes into every
-  row j >= 3p before both lists are dropped.  U_p comes from M_p (below),
-  which is final when p is reached, since row p takes only seeds
-  p' <= p/3 < p.  So the tables that stay alive, u, u(z)^2 and the M
-  rows, hold O(n^2) bits, where one S_p list per p would hold
-  Theta(n^3).
+* The pair tables fill p by p.  The close rows come first, from u(z)^2,
+  which each fill builds and drops like an S_p; then for each p <= n/3
+  in order, g_p runs to length (n - p + 1)/2 and S_p to n + p or one
+  past, and (U_p - u_p)*S_p(j + p) goes into every row j >= 3p before
+  both lists are dropped.  U_p comes from M_p (below), which is final
+  when p is reached, since row p takes only seeds p' <= p/3 < p.  So the
+  only tables that stay alive, u and the M rows, hold O(n^2) bits, where
+  one S_p list per p would hold Theta(n^3).
 * right_bordered_count and mutually_unbordered_count follow from M_n and
   the unbordered table.  The pairs with a right-border number
   M_n + R_n = k^(2n) - u_(2n) - u_n.  Proof: a border of w = vu shorter
@@ -74,15 +74,17 @@ class CountCache:
     Every table runs the Nielsen step (u, each g_t) or its square
     (u(z)^2, each S_p), so nothing convolves.  A pair fill to n builds
     the close rows, then each S_p once, from 4p to n + p, adds it into
-    every row it reaches and drops it.  The M rows are published in one
-    assignment after the last p.  A request past the filled rows fills
-    to at least half again as many, since the next fill restarts every
-    S_p.  The g_t tables behind g() grow on demand, apart from the pair
-    fill.  R and U are lookups, from M and u through the borders of vu.
+    every row it reaches and drops it.  A request past the filled rows
+    fills to at least half again as many, since the next fill restarts
+    every S_p.  g() builds its g_t list per call, as the fill does.  R
+    and U are lookups, from M and u through the borders of vu.
 
-    Memoization is semantically transparent: a warm cache returns exactly
-    what a cold one would, in any order of requests.  Instances may be
-    shared between threads; table fills happen under an internal lock.
+    Only u and the M rows outlive a call: u is append-only with every
+    entry final, and the M rows are published in one assignment after the
+    last p.  So memoization is semantically transparent: a warm or
+    interrupted cache returns exactly what a cold one would, in any order
+    of requests.  Instances may be shared between threads; table fills
+    happen under an internal lock.
     """
 
     def __init__(self, k: int):
@@ -91,11 +93,8 @@ class CountCache:
         self.k = k
         self._lock = threading.RLock()
         self._unbordered: list[int] = [1]
-        self._g_tables: dict[int, list[int]] = {}
         # M_n at index n, with a placeholder at 0
         self._mutual: list[int] = [0]
-        # [z^m] u(z)^2, seeded to 2; C(m) = sq[m] - 2*u_m for m >= 1
-        self._u_square: list[int] = [1, 2 * k, 3 * k * k - 2 * k]
 
     def unbordered(self, n: int) -> int:
         if n < 0:
@@ -108,13 +107,10 @@ class CountCache:
             raise InvalidInputError(f"need 1 <= t <= n, got t={t}, n={n}")
         if n < 2 * t:
             return 0
-        with self._lock:
-            tbl = self._g_tables.get(t)
-            if tbl is None:
-                # zero below 2t, too short to hold both ends of a mutually
-                # unbordered pair, and one at 2t, the seed pair itself
-                tbl = self._g_tables[t] = [0] * (2 * t) + [1]
-            return self._nielsen_locked(tbl, n)[n]
+        # zero below 2t, too short to hold both ends of a mutually
+        # unbordered pair, and one at 2t, the seed pair itself.  The list
+        # is this call's own and the step reads only k, so no lock.
+        return self._nielsen_locked([0] * (2 * t) + [1], n)[n]
 
     def mutually_bordered(self, n: int) -> int:
         with self._lock:
@@ -174,8 +170,8 @@ class CountCache:
         u = self._nielsen_locked(self._unbordered, 2 * top)
         # close pairs: overlap lengths a = lso(u,v), b = lso(v,u) with
         # a + b <= j; the two shortest overlaps are disjoint unbordered
-        # blocks and the middles are free
-        sq = self._square_locked(self._u_square, u, 2, 0, top)
+        # blocks and the middles are free; sq[m] = [z^m] u(z)^2, seeded to 2
+        sq = self._square_locked([1, 2 * k, 3 * k2 - 2 * k], u, 2, 0, top)
         rows = [0] * (top + 1)
         for j in range(1, top + 1):
             rows[j] = k2 * rows[j - 1] + sq[j] - 2 * u[j]

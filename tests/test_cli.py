@@ -57,6 +57,8 @@ def uncapped_int_text():
 def reference_parse_word(text: str, k: int, *, letters: bool = False) -> Word:
     """parse_word as a per-position scan: the reference for its messages."""
     alphabet = Alphabet(k)
+    if not text:
+        raise InvalidInputError("empty word")
     symbols: list[int] = []
     if letters:
         for pos, ch in enumerate(text):
@@ -92,8 +94,6 @@ def reference_parse_word(text: str, k: int, *, letters: bool = False) -> Word:
                     f"symbol {sym or part} at position {pos} is outside the alphabet 0..{k - 1}"
                 )
             symbols.append(sym)
-    if not symbols:
-        raise InvalidInputError("empty word")
     return Word(tuple(symbols), alphabet)
 
 
@@ -170,6 +170,9 @@ def test_parse_word_errors_name_the_position():
         parse_word("0x1", 2)
     with pytest.raises(InvalidInputError, match="empty"):
         parse_word("", 2)
+    # an empty comma word is empty too, not an empty entry at position 0
+    with pytest.raises(InvalidInputError, match="^empty word$"):
+        parse_word("", 12)
 
 
 @pytest.mark.parametrize("entry", ["1_0", " 3", "+3", "\u0661"])

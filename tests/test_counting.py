@@ -462,7 +462,7 @@ def test_cache_is_transparent_in_any_fill_order(k):
     want = reference_pair_table(k, 60)
     g_want = {t: reference_g_table(k, t, 60) for t in (1, 2, 5, 9)}
 
-    # g-tables grown past what the pair fill needs, before it starts
+    # g asked past what the pair fill needs, before it starts
     cache = CountCache(k)
     for t in g_want:
         assert g_count(k, t, 60, cache=cache) == g_want[t][60]
@@ -475,6 +475,8 @@ def test_cache_is_transparent_in_any_fill_order(k):
         lengths = range(60, t - 1, -1)
         assert [g_count(k, t, n, cache=cache) for n in lengths] == [g_want[t][n] for n in lengths]
     assert pair_row(cache, 60) == want[59]
+    # g() keeps no table of its own
+    assert set(vars(cache)) == {"k", "_lock", "_unbordered", "_mutual"}
 
     # a warm cache asked in scrambled order answers as a cold one does
     warm = CountCache(k)
@@ -514,9 +516,11 @@ def test_shared_cache_across_threads():
 @pytest.mark.parametrize("k", [1, 2, 3, 10])
 def test_close_and_far_recurrences_match_direct_sums(k):
     cache = CountCache(k)
-    cache.mutually_bordered(300)
-    sq, u = cache._u_square, cache._unbordered
+    cache.unbordered(300)
+    u = cache._unbordered
+    # the fill squares u(z) from the same seed, [z^m] u(z)^2 to m = 2, and
     # C(m) = [z^m] (u(z) - 1)^2 = [z^m] u(z)^2 - 2*u_m for m >= 1
+    sq = cache._square_locked([1, 2 * k, 3 * k * k - 2 * k], u, 2, 0, 300)
     assert [0] + [sq[m] - 2 * u[m] for m in range(1, 301)] == reference_close_sums(k, 300)
     # the fill builds each S_p with the same step, two lengths at a time
     # from an odd-length seed, and drops it, so an odd end stops one past;
@@ -536,11 +540,11 @@ def test_pair_rows_match_convolutions(k, n_max):
     )
 
 
-# where a fill to 80 stops: extending the u table or the u(z)^2 table, both
-# of which outlive the fill, before any row is built; building S_1, the
-# first far sum after the close rows; S_10, a middle one; S_26, the last.
-# The warm cases fill to 40 first, so the interrupted fill takes every seed
-# from published rows.
+# where a fill to 80 stops: extending the u table, which outlives the fill,
+# or building u(z)^2, before any row is built; building S_1, the first far
+# sum after the close rows; S_10, a middle one; S_26, the last.  The warm
+# cases fill to 40 first, so the interrupted fill takes every seed from
+# published rows.
 @pytest.mark.parametrize(
     "warm,where",
     [(0, "u"), (0, "close"), (40, "close"), (0, 1), (0, 10), (0, 26), (40, 10)],
@@ -558,7 +562,8 @@ def test_interrupted_fill_finishes_like_a_cold_one(monkeypatch, warm, where, whe
         if where == "u":
             hit = first is self._unbordered
         elif where == "close":
-            hit = first is self._u_square
+            # the close square is the one with c = 2, r = 0
+            hit = rest[1:3] == (2, 0)
         else:
             # the far sum S_p is the square with shift r = p
             hit = rest[2] == where
@@ -578,8 +583,8 @@ def test_interrupted_fill_finishes_like_a_cold_one(monkeypatch, warm, where, whe
     head = range(1, warm + 1)
     assert [pair_row(cache, n) for n in head] == [pair_row(cold, n) for n in head]
     assert len(cache._mutual) - 1 == warm
-    # the u(z)^2 table grows two entries at a time, so it keeps an odd length
-    assert len(cache._u_square) % 2 == 1
+    # nothing but u and the published rows outlives a fill
+    assert set(vars(cache)) == {"k", "_lock", "_unbordered", "_mutual"}
     assert [pair_row(cache, n) for n in range(1, 81)] == [pair_row(cold, n) for n in range(1, 81)]
     for t in (1, 10, 26):
         assert [cache.g(t, n) for n in range(t, 81)] == [cold.g(t, n) for n in range(t, 81)]
