@@ -17,14 +17,12 @@ from .asymptotics import (
     limit_R,
     limit_U,
     limit_report,
-    unbordered_density,
     unbordered_density_limit,
 )
 from .counting import (
     CountCache,
     bordered_count,
     expected_lso_finite,
-    g_count,
     mutually_bordered_count,
     mutually_unbordered_count,
     right_bordered_count,
@@ -49,16 +47,10 @@ from .wordcore import (
     OverlapProfile,
     PairClass,
     Word,
-    border_lengths,
-    classify,
-    is_unbordered,
-    left_border_lengths,
     overlap_profile,
-    right_border_lengths,
-    shortest_right_border,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "Alphabet",
@@ -74,19 +66,14 @@ __all__ = [
     "RatInterval",
     "ViolationReport",
     "Word",
-    "border_lengths",
     "bordered_count",
     "census_by_lso",
-    "classify",
     "ensure_within_budget",
     "enumerate_pair_census",
     "expected_lso_finite",
     "expected_lso_limit",
     "extremal_pair",
     "format_decimal",
-    "g_count",
-    "is_unbordered",
-    "left_border_lengths",
     "limit_M",
     "limit_R",
     "limit_U",
@@ -95,12 +82,9 @@ __all__ = [
     "mutually_bordered_count",
     "mutually_unbordered_count",
     "overlap_profile",
-    "right_border_lengths",
     "right_bordered_count",
     "s_count",
-    "shortest_right_border",
     "unbordered_count",
-    "unbordered_density",
     "unbordered_density_limit",
     "verify_decomposition",
     "verify_shortest_unbordered",

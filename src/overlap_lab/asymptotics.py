@@ -70,7 +70,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counting import CountCache, bordered_count, expected_lso_finite, unbordered_count
+from .counting import CountCache, bordered_count, expected_lso_finite
 from .errors import InvalidInputError
 
 
@@ -184,15 +184,6 @@ def expected_lso_limit(k: int, terms: int, *, cache: CountCache | None = None) -
     den = (k - 1) * _denominator(k, terms)
     tail = (k * (terms + 1) - terms) * k**terms
     return RatInterval(lo, Fraction(lo.numerator * (den // lo.denominator) + tail, den))
-
-
-def unbordered_density(k: int, n: int, *, cache: CountCache | None = None) -> Fraction:
-    """u_n / k^n exactly.  Decreases toward the limit 1 - T as n grows."""
-    if k < 2:
-        raise InvalidInputError(f"density requires an alphabet of size >= 2, got k={k}")
-    if n < 1:
-        raise InvalidInputError(f"length must be at least 1, got {n}")
-    return Fraction(unbordered_count(k, n, cache=cache), k**n)
 
 
 def unbordered_density_limit(k: int, terms: int, *, cache: CountCache | None = None) -> RatInterval:

@@ -50,15 +50,6 @@ class PairCensus:
     left_bordered: int
     mutually_unbordered: int
 
-    @property
-    def total(self) -> int:
-        return (
-            self.mutually_bordered
-            + self.right_bordered
-            + self.left_bordered
-            + self.mutually_unbordered
-        )
-
 
 @dataclass(frozen=True)
 class ViolationReport:
@@ -71,10 +62,6 @@ class ViolationReport:
 
     checked: int
     violations: tuple[tuple[Word, Word, str], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def ensure_within_budget(pair_count: int, budget: int | None = None) -> None:

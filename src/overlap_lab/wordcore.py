@@ -9,6 +9,8 @@ Conventions used throughout the package:
   u that is also a proper prefix of v: a way for u to overlap into v.
 * A left-border of (u, v) is a non-empty proper prefix of u that is also a
   proper suffix of v; equivalently, a right-border of (v, u).
+* The borders of w are the right-borders of (w, w), so overlap_profile(w, w)
+  lists them; w is unbordered when that list is empty.
 * so(u, v) is the shortest right-border of (u, v) and lso(u, v) its length,
   with lso(u, v) = 0 when (u, v) has no right-border.
 
@@ -80,7 +82,9 @@ class OverlapProfile:
 
     Both length tuples are ascending.  The left lengths of (u, v) are by
     definition the right lengths of (v, u).  lso fields are 0 and so fields
-    None when the corresponding direction has no border.
+    None when the corresponding direction has no border.  An so word is
+    always unbordered: any border of a right-border would itself be a
+    shorter right-border.
     """
 
     right_border_lengths: tuple[int, ...]
@@ -132,11 +136,6 @@ def _overlap_lengths(
     return lengths
 
 
-def _require_word(w: Word) -> None:
-    if len(w) == 0:
-        raise InvalidInputError("operation requires a non-empty word")
-
-
 def _require_pair(u: Word, v: Word) -> None:
     if u.alphabet != v.alphabet:
         raise InvalidInputError(
@@ -146,57 +145,10 @@ def _require_pair(u: Word, v: Word) -> None:
         raise InvalidInputError("pair analysis requires non-empty words")
 
 
-def border_lengths(w: Word) -> list[int]:
-    """All border lengths of w, ascending."""
-    _require_word(w)
-    return _border_chain(_prefix_function(w.symbols))
-
-
-def is_unbordered(w: Word) -> bool:
-    """True iff w has no border."""
-    _require_word(w)
-    return _prefix_function(w.symbols)[-1] == 0
-
-
-def right_border_lengths(u: Word, v: Word) -> list[int]:
-    """Lengths l with suffix_l(u) == prefix_l(v), 1 <= l < |u| and l < |v|."""
-    _require_pair(u, v)
-    return _overlap_lengths(u.symbols, v.symbols, u.alphabet.k)
-
-
-def left_border_lengths(u: Word, v: Word) -> list[int]:
-    """Lengths of proper prefixes of u that are proper suffixes of v."""
-    _require_pair(u, v)
-    return _overlap_lengths(v.symbols, u.symbols, u.alphabet.k)
-
-
-def shortest_right_border(u: Word, v: Word) -> Word | None:
-    """so(u, v), or None when (u, v) has no right-border.
-
-    The result is always unbordered: any border of a right-border would
-    itself be a shorter right-border.
-    """
-    _require_pair(u, v)
-    lengths = _overlap_lengths(u.symbols, v.symbols, u.alphabet.k)
-    if not lengths:
-        return None
-    return Word(v.symbols[: lengths[0]], u.alphabet)
-
-
 def _class_of(has_right: bool, has_left: bool) -> PairClass:
     if has_right:
         return PairClass.MUTUALLY_BORDERED if has_left else PairClass.RIGHT_BORDERED
     return PairClass.LEFT_BORDERED if has_left else PairClass.MUTUALLY_UNBORDERED
-
-
-def classify(u: Word, v: Word) -> PairClass:
-    """Which of the four exclusive overlap classes (u, v) falls into."""
-    _require_pair(u, v)
-    k = u.alphabet.k
-    return _class_of(
-        bool(_overlap_lengths(u.symbols, v.symbols, k)),
-        bool(_overlap_lengths(v.symbols, u.symbols, k)),
-    )
 
 
 def overlap_profile(u: Word, v: Word) -> OverlapProfile:

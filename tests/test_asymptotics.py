@@ -25,7 +25,7 @@ from overlap_lab import (
     limit_U,
     limit_report,
     mutually_bordered_count,
-    unbordered_density,
+    unbordered_count,
     unbordered_density_limit,
 )
 
@@ -116,19 +116,19 @@ def test_expected_lso_finite_approaches_limit():
 
 
 def test_unbordered_density_examples():
-    assert unbordered_density(2, 1) == 1
-    assert unbordered_density(2, 2) == Fraction(1, 2)
-    assert abs(unbordered_density(2, 40) - Fraction("0.267786")) < Fraction(1, 10**4)
+    # u_n / k^n, which decreases toward the limit 1 - T
+    assert Fraction(unbordered_count(2, 1), 2) == 1
+    assert Fraction(unbordered_count(2, 2), 2**2) == Fraction(1, 2)
+    density = Fraction(unbordered_count(2, 40), 2**40)
+    assert abs(density - Fraction("0.267786")) < Fraction(1, 10**4)
     bracket = unbordered_density_limit(2, 60)
-    assert bracket.contains(unbordered_density(2, 40)) or bracket.width < Fraction(
-        1, 10**6
-    )
+    assert bracket.contains(density) or bracket.width < Fraction(1, 10**6)
 
 
 def test_unbordered_density_decreases():
-    previous = unbordered_density(3, 1)
+    previous = Fraction(unbordered_count(3, 1), 3)
     for n in range(2, 31):
-        current = unbordered_density(3, n)
+        current = Fraction(unbordered_count(3, n), 3**n)
         assert 0 < current <= previous
         previous = current
 

@@ -23,7 +23,6 @@ from overlap_lab import (
     InvalidInputError,
     bordered_count,
     expected_lso_finite,
-    g_count,
     limit_report,
     mutually_bordered_count,
     mutually_unbordered_count,
@@ -225,30 +224,32 @@ def test_bordered_examples_and_complement():
 
 
 def test_g_frozen_values():
-    assert g_count(2, 1, 1) == 0
-    assert g_count(2, 1, 2) == 1
-    assert g_count(2, 1, 3) == 2
-    assert g_count(2, 1, 4) == 3
-    assert g_count(2, 2, 4) == 1
+    g = CountCache(2).g
+    assert g(1, 1) == 0
+    assert g(1, 2) == 1
+    assert g(1, 3) == 2
+    assert g(1, 4) == 3
+    assert g(2, 4) == 1
 
 
 @pytest.mark.parametrize("k,t", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
 def test_g_matches_brute_force(k, t):
     seed = mutually_unbordered_seed(k, t)
     for n in range(t, 2 * t + 7):
-        assert g_count(k, t, n) == brute_g_count(k, seed, n)
+        assert CountCache(k).g(t, n) == brute_g_count(k, seed, n)
 
 
 def test_g_is_seed_independent():
     # two different mutually unbordered seeds give the same profile
+    cache = CountCache(2)
     seeds_t1 = [((0,), (1,)), ((1,), (0,))]
     for n in range(1, 9):
         values = {brute_g_count(2, seed, n) for seed in seeds_t1}
-        assert values == {g_count(2, 1, n)}
+        assert values == {cache.g(1, n)}
     seeds_t3 = [((0, 0, 0), (1, 1, 1)), ((0, 1, 0), (1, 1, 1))]
     for n in range(3, 10):
         values = {brute_g_count(2, seed, n) for seed in seeds_t3}
-        assert values == {g_count(2, 3, n)}
+        assert values == {cache.g(3, n)}
 
 
 def test_pair_counts_frozen_table():
@@ -358,9 +359,9 @@ def test_invalid_inputs():
     with pytest.raises(InvalidInputError):
         mutually_bordered_count(2, 0)
     with pytest.raises(InvalidInputError):
-        g_count(2, 0, 4)
+        CountCache(2).g(0, 4)
     with pytest.raises(InvalidInputError):
-        g_count(2, 5, 4)
+        CountCache(2).g(5, 4)
     with pytest.raises(InvalidInputError):
         expected_lso_finite(2, 0)
 
@@ -371,7 +372,7 @@ def test_cache_matches_reference_sums(k):
     assert [pair_row(cache, n) for n in range(1, 61)] == reference_pair_table(k, 60)
     for t in range(1, 21):
         want = reference_g_table(k, t, 60)
-        assert [g_count(k, t, n, cache=cache) for n in range(t, 61)] == want[t:]
+        assert [cache.g(t, n) for n in range(t, 61)] == want[t:]
 
 
 def reference_bordered_count(k: int, n: int) -> int:
@@ -446,15 +447,15 @@ def test_g_below_twice_t_builds_no_table():
     cache = CountCache(2)
     tracemalloc.start()
     try:
-        assert g_count(2, 200_000, 200_000, cache=cache) == 0
+        assert cache.g(200_000, 200_000) == 0
         assert tracemalloc.get_traced_memory()[1] < 1 << 20
-        assert g_count(2, 10**9, 10**9, cache=cache) == 0
-        assert g_count(2, 5, 9, cache=cache) == 0
+        assert cache.g(10**9, 10**9) == 0
+        assert cache.g(5, 9) == 0
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert g_count(2, 5, 10, cache=cache) == 1
+    assert cache.g(5, 10) == 1
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -465,7 +466,7 @@ def test_cache_is_transparent_in_any_fill_order(k):
     # g asked past what the pair fill needs, before it starts
     cache = CountCache(k)
     for t in g_want:
-        assert g_count(k, t, 60, cache=cache) == g_want[t][60]
+        assert cache.g(t, 60) == g_want[t][60]
     assert [pair_row(cache, n) for n in range(60, 0, -1)] == want[::-1]
 
     # g asked after a partial pair fill, at lengths it has and has not reached
@@ -473,7 +474,7 @@ def test_cache_is_transparent_in_any_fill_order(k):
     assert pair_row(cache, 35) == want[34]
     for t in g_want:
         lengths = range(60, t - 1, -1)
-        assert [g_count(k, t, n, cache=cache) for n in lengths] == [g_want[t][n] for n in lengths]
+        assert [cache.g(t, n) for n in lengths] == [g_want[t][n] for n in lengths]
     assert pair_row(cache, 60) == want[59]
     # g() keeps no table of its own
     assert set(vars(cache)) == {"k", "_lock", "_unbordered", "_mutual"}

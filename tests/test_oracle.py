@@ -230,7 +230,12 @@ def test_census_example():
     assert census.right_bordered == 30
     assert census.left_bordered == 30
     assert census.mutually_unbordered == 18
-    assert census.total == 2**7
+    assert (
+        census.mutually_bordered
+        + census.right_bordered
+        + census.left_bordered
+        + census.mutually_unbordered
+    ) == 2**7
 
 
 def test_census_smallest():
@@ -244,7 +249,12 @@ def test_census_smallest():
 def test_census_sums_to_all_pairs():
     for k, m, n in [(2, 2, 5), (3, 2, 3), (2, 4, 4), (4, 1, 2)]:
         census = enumerate_pair_census(k, m, n)
-        assert census.total == k ** (m + n)
+        assert (
+        census.mutually_bordered
+        + census.right_bordered
+        + census.left_bordered
+        + census.mutually_unbordered
+    ) == k ** (m + n)
 
 
 def test_census_swap_symmetry():
@@ -289,7 +299,6 @@ def test_budget_message_names_both_numbers():
 def test_shortest_unbordered_verifier_finds_nothing(k, n):
     report = verify_shortest_unbordered(k, n)
     assert report.checked == k ** (2 * n)
-    assert report.ok
     assert report.violations == ()
 
 
@@ -297,7 +306,6 @@ def test_shortest_unbordered_verifier_finds_nothing(k, n):
 def test_decomposition_verifier_finds_nothing(k, n):
     report = verify_decomposition(k, n)
     assert report.checked == k ** (2 * n)
-    assert report.ok
     assert report.violations == ()
 
 

@@ -11,13 +11,7 @@ from overlap_lab import (
     InvalidInputError,
     PairClass,
     Word,
-    border_lengths,
-    classify,
-    is_unbordered,
-    left_border_lengths,
     overlap_profile,
-    right_border_lengths,
-    shortest_right_border,
 )
 
 BINARY = Alphabet(2)
@@ -49,22 +43,29 @@ def all_words(k: int, n: int):
 
 
 def test_border_lengths_examples():
-    assert border_lengths(latin("entente")) == [1, 4]
-    assert border_lengths(bits("0101")) == [2]
-    assert border_lengths(bits("000")) == [1, 2]
-    assert border_lengths(bits("01")) == []
+    # the borders of w are the right-borders of (w, w)
+    for word, want in [
+        (latin("entente"), (1, 4)),
+        (bits("0101"), (2,)),
+        (bits("000"), (1, 2)),
+        (bits("01"), ()),
+    ]:
+        assert overlap_profile(word, word).right_border_lengths == want
 
 
 def test_right_border_lengths_examples():
-    assert right_border_lengths(bits("1000101"), bits("0110001")) == [2]
-    assert right_border_lengths(bits("0110001"), bits("1000101")) == [1, 5]
+    assert overlap_profile(bits("1000101"), bits("0110001")).right_border_lengths == (2,)
+    assert overlap_profile(bits("0110001"), bits("1000101")).right_border_lengths == (1, 5)
 
 
 def test_classify_examples():
-    assert classify(latin("delivered"), latin("redeliver")) is PairClass.MUTUALLY_BORDERED
-    assert classify(latin("mail"), latin("box")) is PairClass.MUTUALLY_UNBORDERED
-    assert classify(latin("overlap"), latin("lapse")) is PairClass.RIGHT_BORDERED
-    assert classify(latin("lapse"), latin("overlap")) is PairClass.LEFT_BORDERED
+    for u, v, want in [
+        ("delivered", "redeliver", PairClass.MUTUALLY_BORDERED),
+        ("mail", "box", PairClass.MUTUALLY_UNBORDERED),
+        ("overlap", "lapse", PairClass.RIGHT_BORDERED),
+        ("lapse", "overlap", PairClass.LEFT_BORDERED),
+    ]:
+        assert overlap_profile(latin(u), latin(v)).pair_class is want
 
 
 def test_overlap_profile_example():
@@ -77,23 +78,24 @@ def test_overlap_profile_example():
 
 
 def test_shortest_right_border_examples():
-    got = shortest_right_border(bits("00"), bits("00"))
+    got = overlap_profile(bits("00"), bits("00")).so_uv
     assert got is not None and got.symbols == (0,)
-    assert shortest_right_border(bits("0"), bits("1")) is None
+    assert overlap_profile(bits("0"), bits("1")).so_uv is None
 
 
 def test_unbordered_examples():
-    assert is_unbordered(bits("01"))
-    assert is_unbordered(bits("0011"))
-    assert not is_unbordered(bits("010"))
-    assert is_unbordered(bits("0"))
+    for text, unbordered in [("01", True), ("0011", True), ("010", False), ("0", True)]:
+        word = bits(text)
+        assert (not overlap_profile(word, word).right_border_lengths) is unbordered
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_border_lengths_match_naive_exhaustive(n):
     for symbols in all_words(2, n):
         word = Word(symbols, BINARY)
-        assert border_lengths(word) == naive_border_lengths(symbols)
+        assert list(overlap_profile(word, word).right_border_lengths) == naive_border_lengths(
+            symbols
+        )
 
 
 @pytest.mark.parametrize("m,n", list(itertools.product(range(1, 6), range(1, 6))))
@@ -101,9 +103,12 @@ def test_right_border_lengths_match_naive_exhaustive(m, n):
     for u_syms in all_words(2, m):
         u = Word(u_syms, BINARY)
         for v_syms in all_words(2, n):
-            v = Word(v_syms, BINARY)
-            assert right_border_lengths(u, v) == naive_right_border_lengths(
+            profile = overlap_profile(u, Word(v_syms, BINARY))
+            assert list(profile.right_border_lengths) == naive_right_border_lengths(
                 u_syms, v_syms
+            )
+            assert list(profile.left_border_lengths) == naive_right_border_lengths(
+                v_syms, u_syms
             )
 
 
@@ -116,25 +121,25 @@ def words(k: int, max_len: int):
 
 @given(words(3, 14))
 def test_border_lengths_match_naive(w):
-    assert border_lengths(w) == naive_border_lengths(w.symbols)
+    assert list(overlap_profile(w, w).right_border_lengths) == naive_border_lengths(w.symbols)
 
 
 @given(words(3, 14), words(3, 14))
 def test_right_border_lengths_match_naive(u, v):
-    assert right_border_lengths(u, v) == naive_right_border_lengths(
+    assert list(overlap_profile(u, v).right_border_lengths) == naive_right_border_lengths(
         u.symbols, v.symbols
     )
 
 
 @given(words(3, 14), words(3, 14))
 def test_left_is_right_swapped(u, v):
-    assert left_border_lengths(u, v) == right_border_lengths(v, u)
+    assert overlap_profile(u, v).left_border_lengths == overlap_profile(v, u).right_border_lengths
 
 
 @given(words(3, 14), words(3, 14))
 def test_overlap_lengths_proper_on_both_sides(u, v):
     # each overlap must be shorter than both words, never merely than one
-    for l in right_border_lengths(u, v):
+    for l in overlap_profile(u, v).right_border_lengths:
         assert 0 < l < len(u)
         assert l < len(v)
 
@@ -142,37 +147,47 @@ def test_overlap_lengths_proper_on_both_sides(u, v):
 @given(words(3, 14), words(3, 14))
 def test_shortest_overlap_is_unbordered(u, v):
     # the shortest suffix-prefix word has no border; longer ones all do
-    lengths = right_border_lengths(u, v)
+    lengths = overlap_profile(u, v).right_border_lengths
     for index, l in enumerate(lengths):
-        overlap = Word(v.symbols[:l], v.alphabet)
-        assert is_unbordered(overlap) == (index == 0)
+        assert (not naive_border_lengths(v.symbols[:l])) == (index == 0)
+
+
+# the four classes by (has a right-border, has a left-border)
+NAIVE_CLASS = {
+    (True, True): PairClass.MUTUALLY_BORDERED,
+    (True, False): PairClass.RIGHT_BORDERED,
+    (False, True): PairClass.LEFT_BORDERED,
+    (False, False): PairClass.MUTUALLY_UNBORDERED,
+}
 
 
 @given(words(3, 14), words(3, 14))
 def test_profile_is_consistent(u, v):
     profile = overlap_profile(u, v)
-    rights = right_border_lengths(u, v)
-    lefts = left_border_lengths(u, v)
+    rights = naive_right_border_lengths(u.symbols, v.symbols)
+    lefts = naive_right_border_lengths(v.symbols, u.symbols)
     assert list(profile.right_border_lengths) == rights
     assert list(profile.left_border_lengths) == lefts
     assert profile.lso_uv == (rights[0] if rights else 0)
     assert profile.lso_vu == (lefts[0] if lefts else 0)
     if rights:
-        assert profile.so_uv.symbols == v.symbols[: rights[0]]
+        assert profile.so_uv == Word(v.symbols[: rights[0]], v.alphabet)
     else:
         assert profile.so_uv is None
     if lefts:
-        assert profile.so_vu.symbols == u.symbols[: lefts[0]]
+        assert profile.so_vu == Word(u.symbols[: lefts[0]], u.alphabet)
     else:
         assert profile.so_vu is None
-    assert profile.pair_class is classify(u, v)
-    assert shortest_right_border(u, v) == profile.so_uv
+    assert profile.pair_class is NAIVE_CLASS[bool(rights), bool(lefts)]
 
 
 @given(words(3, 10))
 def test_self_pair_borders_are_word_borders(w):
-    # overlaps of a word with itself are exactly its borders
-    assert right_border_lengths(w, w) == border_lengths(w)
+    # overlaps of a word with itself are exactly its borders, both ways
+    profile = overlap_profile(w, w)
+    assert list(profile.right_border_lengths) == naive_border_lengths(w.symbols)
+    assert profile.left_border_lengths == profile.right_border_lengths
+    assert profile.so_uv == profile.so_vu
 
 
 def test_classify_covers_all_four_cases():
@@ -184,7 +199,7 @@ def test_classify_covers_all_four_cases():
         ("01", "01"): PairClass.MUTUALLY_UNBORDERED,
     }
     for (a, b), want in expected.items():
-        assert classify(bits(a), bits(b)) is want
+        assert overlap_profile(bits(a), bits(b)).pair_class is want
 
 
 @settings(deadline=None)
@@ -193,11 +208,10 @@ def test_single_letter_words(k, data):
     alphabet = Alphabet(k)
     a = data.draw(st.integers(0, k - 1))
     b = data.draw(st.integers(0, k - 1))
-    u = Word((a,), alphabet)
-    v = Word((b,), alphabet)
+    profile = overlap_profile(Word((a,), alphabet), Word((b,), alphabet))
     # length-1 words admit no proper overlap at all
-    assert right_border_lengths(u, v) == []
-    assert classify(u, v) is PairClass.MUTUALLY_UNBORDERED
+    assert profile.right_border_lengths == ()
+    assert profile.pair_class is PairClass.MUTUALLY_UNBORDERED
 
 
 def test_word_validation():
@@ -245,17 +259,14 @@ def test_word_validation_matches_the_reference_scan(k, symbols):
 
 def test_empty_word_rejected_by_operations():
     empty = Word((), BINARY)
-    with pytest.raises(InvalidInputError):
-        border_lengths(empty)
-    with pytest.raises(InvalidInputError):
-        right_border_lengths(empty, bits("0"))
-    with pytest.raises(InvalidInputError):
-        classify(bits("0"), empty)
+    for u, v in [(empty, empty), (empty, bits("0")), (bits("0"), empty)]:
+        with pytest.raises(InvalidInputError):
+            overlap_profile(u, v)
 
 
 def test_mixed_alphabets_rejected():
     with pytest.raises(InvalidInputError):
-        right_border_lengths(bits("01"), Word((0, 1), Alphabet(3)))
+        overlap_profile(bits("01"), Word((0, 1), Alphabet(3)))
 
 
 def test_word_is_hashable_and_iterable():
