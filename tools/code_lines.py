@@ -12,6 +12,7 @@ then the total.
 from __future__ import annotations
 
 import ast
+import io
 import sys
 import tokenize
 from pathlib import Path
@@ -46,10 +47,9 @@ def code_lines(path: Path) -> int:
     source = path.read_bytes()
     docstrings = docstring_lines(ast.parse(source))
     lines: set[int] = set()
-    with path.open("rb") as f:
-        for tok in tokenize.tokenize(f.readline):
-            if tok.type not in LAYOUT:
-                lines.update(range(tok.start[0], tok.end[0] + 1))
+    for tok in tokenize.tokenize(io.BytesIO(source).readline):
+        if tok.type not in LAYOUT:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
     return len(lines - docstrings)
 
 
