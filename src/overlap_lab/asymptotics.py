@@ -72,6 +72,20 @@ from fractions import Fraction
 
 from .counting import CountCache, bordered_count, expected_lso_finite
 from .errors import InvalidInputError
+from .wordcore import Alphabet
+
+__all__ = [
+    "QUANTITIES",
+    "LimitReport",
+    "RatInterval",
+    "expected_lso_limit",
+    "format_decimal",
+    "limit_M",
+    "limit_R",
+    "limit_U",
+    "limit_report",
+    "unbordered_density_limit",
+]
 
 
 @dataclass(frozen=True)
@@ -120,6 +134,7 @@ class LimitReport:
 def _validate(k: int, terms: int) -> None:
     if k < 2:
         raise InvalidInputError(f"limits require an alphabet of size >= 2, got k={k}")
+    Alphabet(k)
     if terms < 1:
         raise InvalidInputError(f"need at least one series term, got {terms}")
 

@@ -66,6 +66,18 @@ import threading
 from fractions import Fraction
 
 from .errors import InvalidInputError
+from .wordcore import Alphabet
+
+__all__ = [
+    "CountCache",
+    "bordered_count",
+    "expected_lso_finite",
+    "mutually_bordered_count",
+    "mutually_unbordered_count",
+    "right_bordered_count",
+    "s_count",
+    "unbordered_count",
+]
 
 
 class CountCache:
@@ -88,9 +100,7 @@ class CountCache:
     """
 
     def __init__(self, k: int):
-        if k < 1:
-            raise InvalidInputError(f"alphabet size must be at least 1, got {k}")
-        self.k = k
+        self.k = Alphabet(k).k
         self._lock = threading.RLock()
         self._unbordered: list[int] = [1]
         # M_n at index n, with a placeholder at 0
@@ -235,12 +245,12 @@ def bordered_count(k: int, n: int, *, cache: CountCache | None = None) -> int:
     _require_positive_length(n)
     c = _resolve_cache(k, cache)
     c.unbordered(n // 2)
-    k2 = k * k
+    k2 = c.k * c.k
     total = 0
     # entries never change once written, so the slice needs no lock
     for value in c._unbordered[1 : n // 2 + 1]:
         total = total * k2 + value
-    return total * k ** (n % 2)
+    return total * c.k ** (n % 2)
 
 
 def mutually_bordered_count(k: int, n: int, *, cache: CountCache | None = None) -> int:
@@ -269,7 +279,7 @@ def s_count(k: int, i: int, n: int, *, cache: CountCache | None = None) -> int:
     if not 1 <= i <= n - 1:
         raise InvalidInputError(f"overlap length must be in 1..{n - 1}, got {i}")
     c = _resolve_cache(k, cache)
-    return c.unbordered(i) * k ** (2 * (n - i))
+    return c.unbordered(i) * c.k ** (2 * (n - i))
 
 
 def expected_lso_finite(k: int, n: int, *, cache: CountCache | None = None) -> Fraction:
@@ -277,7 +287,7 @@ def expected_lso_finite(k: int, n: int, *, cache: CountCache | None = None) -> F
     _require_positive_length(n)
     c = _resolve_cache(k, cache)
     c.unbordered(n - 1)
-    k2 = k * k
+    k2 = c.k * c.k
     total = 0
     for i, value in enumerate(c._unbordered[1:n], 1):
         total = total * k2 + i * value

@@ -1,5 +1,7 @@
 """Exception types shared across the library."""
 
+__all__ = ["BudgetExceededError", "InvalidInputError"]
+
 
 class InvalidInputError(ValueError):
     """An argument violates an operation's precondition."""

@@ -35,6 +35,19 @@ from typing import Callable, Iterator
 from .errors import BudgetExceededError, InvalidInputError
 from .wordcore import Alphabet, Word, _prefix_function
 
+__all__ = [
+    "DEFAULT_PAIR_BUDGET",
+    "PairCensus",
+    "ViolationReport",
+    "census_by_lso",
+    "ensure_within_budget",
+    "enumerate_pair_census",
+    "extremal_pair",
+    "max_overlap_sum",
+    "verify_decomposition",
+    "verify_shortest_unbordered",
+]
+
 DEFAULT_PAIR_BUDGET = 1 << 34
 
 
@@ -72,8 +85,7 @@ def ensure_within_budget(pair_count: int, budget: int | None = None) -> None:
 
 
 def _validate_kn(k: int, n: int) -> None:
-    if k < 1:
-        raise InvalidInputError(f"alphabet size must be at least 1, got {k}")
+    Alphabet(k)
     if n < 1:
         raise InvalidInputError(f"length must be at least 1, got {n}")
 

@@ -25,22 +25,34 @@ sentinel never escapes this module.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
 
 from .errors import InvalidInputError
 
+__all__ = ["Alphabet", "OverlapProfile", "PairClass", "Word", "overlap_profile"]
+
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Integer alphabet {0, ..., k - 1}."""
+    """Integer alphabet {0, ..., k - 1}.
+
+    k is stored as a plain int; a size that is not an integer, such as
+    2.0, is refused rather than carried into exact arithmetic.
+    """
 
     k: int
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise InvalidInputError(f"alphabet size must be at least 1, got {self.k}")
+        try:
+            k = operator.index(self.k)
+        except TypeError:
+            raise InvalidInputError(f"alphabet size must be an integer, got {self.k!r}") from None
+        if k < 1:
+            raise InvalidInputError(f"alphabet size must be at least 1, got {k}")
+        object.__setattr__(self, "k", k)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ COMMANDS = [
     ("count", "--k", "3", "--n", "18", "--quantities", "M,R,U,u"),
     ("oracle", "--k", "2", "--n", "3", "--checks", "census,lemmas,fourthirds,lso-histogram"),
     ("oracle", "--k", "3", "--m", "3", "--n", "2"),
+    ("oracle", "--k", "3", "--m", "3", "--n", "2", "--checks", "lso-histogram,census,fourthirds,lemmas"),
     ("limits", "--k", "2", "--terms", "40"),
     ("limits", "--k", "3", "--terms", "40", "--precision", "8"),
 ]

@@ -339,6 +339,16 @@ def test_cache_rejects_mismatched_alphabet():
         unbordered_count(2, 5, cache=cache)
 
 
+def test_cache_alphabet_governs_the_arithmetic():
+    # a k equal to the cache's is answered from the cache's plain int, so
+    # the counts stay exact integers
+    cache = CountCache(2)
+    assert bordered_count(2.0, 200, cache=cache) == bordered_count(2, 200)
+    assert type(bordered_count(2.0, 200, cache=cache)) is int
+    assert type(s_count(2.0, 3, 200, cache=cache)) is int
+    assert type(expected_lso_finite(2.0, 200, cache=cache).numerator) is int
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.integers(1, 5), st.integers(1, 60))
 def test_counts_are_consistent_everywhere(k, n):

@@ -8,9 +8,13 @@ from hypothesis import strategies as st
 
 from overlap_lab import (
     Alphabet,
+    CountCache,
     InvalidInputError,
     PairClass,
     Word,
+    enumerate_pair_census,
+    limit_report,
+    mutually_bordered_count,
     overlap_profile,
 )
 
@@ -221,6 +225,35 @@ def test_word_validation():
         Word((-1,), BINARY)
     with pytest.raises(InvalidInputError):
         Alphabet(0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Alphabet(2.0),
+        lambda: CountCache(2.0),
+        lambda: mutually_bordered_count(2.0, 40),
+        lambda: enumerate_pair_census(2.0, 2, 2),
+        lambda: limit_report("M_limit", 2.0, 10, 3),
+    ],
+    ids=[
+        "Alphabet",
+        "CountCache",
+        "mutually_bordered_count",
+        "enumerate_pair_census",
+        "limit_report",
+    ],
+)
+def test_non_integer_alphabet_size_is_refused(call):
+    # every layer that takes k checks it through Alphabet, so a float that
+    # equals an integer is refused rather than carried into the counts
+    with pytest.raises(InvalidInputError, match="alphabet size must be an integer, got 2.0"):
+        call()
+
+
+def test_alphabet_stores_a_plain_int():
+    assert type(Alphabet(True).k) is int
+    assert type(CountCache(True).k) is int
 
 
 @pytest.mark.parametrize(
