@@ -49,6 +49,9 @@ terms without a full-size gcd: a power of a reduced fraction is
 reduced, and 1 - x, x - 1/2 and 1/4 - x take gcds with 1, 2 or 4 only.
 That is why R is evaluated as t - t^2 = 1/4 - (t - 1/2)^2.  A command
 thus makes four full-size reductions: the two T ends and the two E ends.
+RatInterval checks lo <= hi exactly over the lcm of the two denominators,
+so ends whose denominators share most of their size, as all built here
+do, cost two products of a full-size number by a small cofactor each.
 
 Certificate and rounding on integers.  Every bracket end of a quantity
 has a denominator that divides a common denominator known in advance:
@@ -69,6 +72,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .counting import CountCache, bordered_count, expected_lso_finite
 from .errors import InvalidInputError
@@ -96,7 +100,10 @@ class RatInterval:
     hi: Fraction
 
     def __post_init__(self) -> None:
-        if self.lo > self.hi:
+        # lo > hi over the lcm of the denominators (module docstring)
+        lo, hi = self.lo, self.hi
+        g = gcd(lo.denominator, hi.denominator)
+        if lo.numerator * (hi.denominator // g) > hi.numerator * (lo.denominator // g):
             raise InvalidInputError(f"empty interval: {self.lo} > {self.hi}")
 
     @property
@@ -131,12 +138,14 @@ class LimitReport:
         return self.decimal is not None
 
 
-def _validate(k: int, terms: int) -> None:
+def _validate(k: int, terms: int) -> int:
+    """k as the plain int Alphabet stores, so a fixed-width type cannot wrap."""
     if k < 2:
         raise InvalidInputError(f"limits require an alphabet of size >= 2, got k={k}")
-    Alphabet(k)
+    k = Alphabet(k).k
     if terms < 1:
         raise InvalidInputError(f"need at least one series term, got {terms}")
+    return k
 
 
 # T brackets by cache and terms.  M, R, U and the unbordered density all
@@ -163,7 +172,7 @@ def _t_bracket(k: int, terms: int, cache: CountCache | None) -> tuple[Fraction, 
 
 def limit_M(k: int, terms: int, *, cache: CountCache | None = None) -> RatInterval:
     """Bracket for the limiting density of mutually bordered pairs, T^2."""
-    _validate(k, terms)
+    k = _validate(k, terms)
     a, b = _t_bracket(k, terms, cache)
     return RatInterval(a**2, b**2)
 
@@ -175,7 +184,7 @@ def limit_R(k: int, terms: int, *, cache: CountCache | None = None) -> RatInterv
     images of its ends bound the image; the same holds for M and U.  It
     falls on [1/2, 1] (k = 2) and rises on [0, 1/2] (k >= 3).
     """
-    _validate(k, terms)
+    k = _validate(k, terms)
     a, b = _t_bracket(k, terms, cache)
     # t - t^2 in the form that keeps lowest terms without a full-size gcd
     fa, fb = (Fraction(1, 4) - (t - Fraction(1, 2)) ** 2 for t in (a, b))
@@ -184,14 +193,14 @@ def limit_R(k: int, terms: int, *, cache: CountCache | None = None) -> RatInterv
 
 def limit_U(k: int, terms: int, *, cache: CountCache | None = None) -> RatInterval:
     """Bracket for the limiting density of mutually unbordered pairs, (1-T)^2."""
-    _validate(k, terms)
+    k = _validate(k, terms)
     a, b = _t_bracket(k, terms, cache)
     return RatInterval((1 - b) ** 2, (1 - a) ** 2)
 
 
 def expected_lso_limit(k: int, terms: int, *, cache: CountCache | None = None) -> RatInterval:
     """Bracket for the limiting expected shortest-overlap length."""
-    _validate(k, terms)
+    k = _validate(k, terms)
     # the first `terms` terms of E are the mean lso at length terms + 1; over
     # (k-1) D, the tail bound (k(terms+1) - terms) / ((k-1)^2 k^terms) has
     # numerator (k(terms+1) - terms) k^terms
@@ -203,7 +212,7 @@ def expected_lso_limit(k: int, terms: int, *, cache: CountCache | None = None) -
 
 def unbordered_density_limit(k: int, terms: int, *, cache: CountCache | None = None) -> RatInterval:
     """Bracket for the limiting unbordered density, 1 - T."""
-    _validate(k, terms)
+    k = _validate(k, terms)
     a, b = _t_bracket(k, terms, cache)
     return RatInterval(1 - b, 1 - a)
 
@@ -271,6 +280,7 @@ def limit_report(
         ) from None
     if precision < 0:
         raise InvalidInputError(f"precision must be non-negative, got {precision}")
+    k = _validate(k, terms)
     interval = func(k, terms, cache=cache)
     den = _denominator(k, terms) ** power * (k - 1) ** extra
     lo, hi = (end.numerator * (den // end.denominator) for end in (interval.lo, interval.hi))

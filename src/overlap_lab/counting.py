@@ -13,8 +13,14 @@ The building blocks:
   shortest border, which is itself unbordered and at most n/2 long, then
   sum u_i * k^(n-2i).  The total equals k^n - u_n.
 * bordered_count and expected_lso_finite, the mean sum_(i<n) i*u_i*k^(-2i),
-  each fill the unbordered table once and run one Horner loop over a
-  slice of it, total = total*k^2 + u_i (or + i*u_i).
+  each fill the unbordered table once and evaluate a partial sum of it at
+  z = k^(-2): P_m(z) = sum_(i<=m) u_i*z^i, and z*P_m'(z) for the mean.
+  Truncating Nielsen's step gives (1 - kz)*P_m(z) = 2 - P_h(z^2) -
+  k*u_m*z^(m+1) with h = floor(m/2), so P_m at z follows from P_h at z^2,
+  and z*P_m' from both and z*P_h' at z^2.  At z = k^(-e) this runs in
+  integers scaled by powers of k, with exact divisions by k^e - k: O(log m)
+  big-integer steps, not m.  Below 65 terms, and for k = 1, where k^e - k
+  is 0, a Horner loop sums the entries directly.
 * CountCache.g(t, n): length-n unbordered words whose length-t prefix and
   suffix realize a fixed mutually unbordered pair of distinct words.  The
   count depends only on t, not on the pair chosen: it is zero below
@@ -233,6 +239,32 @@ def unbordered_count(k: int, n: int, *, cache: CountCache | None = None) -> int:
     return _resolve_cache(k, cache).unbordered(n)
 
 
+def _power_sums(u: list[int], k: int, m: int, e: int) -> tuple[int, int]:
+    """N = sum_(i<=m) u_i*k^(e(m-i)) and W, the same sum weighted by i.
+
+    With h = m // 2 and s = k^(e(m+1-2h)), the truncated Nielsen step at
+    z = k^(-e) and its z-derivative, scaled by k^(e(m+1)), read
+      (k^e - k)*N(m, e) = 2*k^(e(m+1)) - s*N(h, 2e) - k*u_m
+      (k^e - k)*W(m, e) = k*N(m, e) - 2*s*W(h, 2e) - k*(m+1)*u_m
+    and both divisions are exact; k^e - k is not 0 for k, e >= 2.  u must
+    hold entries 0..m.
+    """
+    if m <= 64 or k == 1:
+        base = k**e
+        n = w = 0
+        for i, value in enumerate(u[: m + 1]):
+            n = n * base + value
+            w = w * base + i * value
+        return n, w
+    h = m // 2
+    n, w = _power_sums(u, k, h, 2 * e)
+    shift = k ** (e * (m + 1 - 2 * h))
+    step = k**e - k
+    n = (2 * k ** (e * (m + 1)) - shift * n - k * u[m]) // step
+    w = (k * n - 2 * shift * w - k * (m + 1) * u[m]) // step
+    return n, w
+
+
 def bordered_count(k: int, n: int, *, cache: CountCache | None = None) -> int:
     """Number of length-n bordered words, summed over the shortest border.
 
@@ -241,16 +273,16 @@ def bordered_count(k: int, n: int, *, cache: CountCache | None = None) -> int:
     the unbordered table only to n/2, while k^n - u_n fills it to n.  The
     entries grow linearly in size, so a table of m entries holds about
     m^2 bits, and the difference form would hold four times as many.
+    With m = n // 2 the sum is (N - k^(2m)) * k^(n mod 2), where N is the
+    partial sum to m at k^(-2) (module docstring), scaled by k^(2m).
     """
     _require_positive_length(n)
     c = _resolve_cache(k, cache)
-    c.unbordered(n // 2)
-    k2 = c.k * c.k
-    total = 0
-    # entries never change once written, so the slice needs no lock
-    for value in c._unbordered[1 : n // 2 + 1]:
-        total = total * k2 + value
-    return total * c.k ** (n % 2)
+    m = n // 2
+    c.unbordered(m)
+    # entries never change once written, so the table needs no lock
+    total, _ = _power_sums(c._unbordered, c.k, m, 2)
+    return (total - c.k ** (2 * m)) * c.k ** (n % 2)
 
 
 def mutually_bordered_count(k: int, n: int, *, cache: CountCache | None = None) -> int:
@@ -287,8 +319,5 @@ def expected_lso_finite(k: int, n: int, *, cache: CountCache | None = None) -> F
     _require_positive_length(n)
     c = _resolve_cache(k, cache)
     c.unbordered(n - 1)
-    k2 = c.k * c.k
-    total = 0
-    for i, value in enumerate(c._unbordered[1:n], 1):
-        total = total * k2 + i * value
-    return Fraction(total, k2 ** (n - 1))
+    _, total = _power_sums(c._unbordered, c.k, n - 1, 2)
+    return Fraction(total, c.k ** (2 * (n - 1)))

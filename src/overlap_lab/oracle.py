@@ -84,10 +84,12 @@ def ensure_within_budget(pair_count: int, budget: int | None = None) -> None:
         raise BudgetExceededError(pair_count, limit)
 
 
-def _validate_kn(k: int, n: int) -> None:
-    Alphabet(k)
+def _validate_kn(k: int, n: int) -> int:
+    """k as the plain int Alphabet stores, so a fixed-width type cannot wrap."""
+    k = Alphabet(k).k
     if n < 1:
         raise InvalidInputError(f"length must be at least 1, got {n}")
+    return k
 
 
 def _shortest_overlap(u: tuple[int, ...], v: tuple[int, ...]) -> int:
@@ -138,7 +140,7 @@ def _verify(k: int, n: int, budget: int | None, cap: int, hits_of: Callable) -> 
     cumulative sets and adds a j loop only at an i where some v
     interleaves with u.
     """
-    _validate_kn(k, n)
+    k = _validate_kn(k, n)
     ensure_within_budget(k ** (2 * n), budget)
     alphabet = Alphabet(k)
     words = list(product(range(k), repeat=n))
@@ -156,7 +158,7 @@ def enumerate_pair_census(
     k: int, m: int, n: int, *, budget: int | None = None
 ) -> PairCensus:
     """Classify every ordered pair with |u| = m, |v| = n by brute force."""
-    _validate_kn(k, n)
+    k = _validate_kn(k, n)
     if m < 1:
         raise InvalidInputError(f"length must be at least 1, got {m}")
     ensure_within_budget(k ** (m + n), budget)
@@ -276,7 +278,7 @@ def max_overlap_sum(k: int, n: int, *, budget: int | None = None) -> int:
     has lso(v, u) > best - i.  A pair with lso(u, v) = 0 has the sum of its
     swap (v, u), so it needs no pass.  The result never exceeds floor(4n/3).
     """
-    _validate_kn(k, n)
+    k = _validate_kn(k, n)
     ensure_within_budget(k ** (2 * n), budget)
     best = 0
     for right, left in _overlap_sets(k, n, n):
@@ -298,7 +300,7 @@ def census_by_lso(k: int, n: int, *, budget: int | None = None) -> dict[int, int
     overlaps at length l depend only on suffix_l(u), so the walk runs over
     suffixes, each standing for the k^(n-l) words u that end with it.
     """
-    _validate_kn(k, n)
+    k = _validate_kn(k, n)
     ensure_within_budget(k ** (2 * n), budget)
     power = [k**e for e in range(n + 1)]
     histogram = {i: 0 for i in range(n)}

@@ -10,6 +10,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from overlap_lab import asymptotics, cli
 from overlap_lab import (
@@ -141,6 +143,36 @@ def test_interval_basics():
     assert not box.contains(Fraction(3, 4))
     with pytest.raises(InvalidInputError):
         RatInterval(Fraction(1, 2), Fraction(1, 4))
+
+
+# rational ends: unrelated denominators, integers, and the same family of
+# large denominators that the brackets have, a / (d * 3^x) for small d
+ENDS = st.one_of(
+    st.fractions(),
+    st.integers(-(10**6), 10**6),
+    st.builds(
+        lambda a, d, x: Fraction(a, d * 3**x),
+        st.integers(-(3**60), 3**60),
+        st.sampled_from([1, 2, 4]),
+        st.integers(0, 2000),
+    ),
+)
+
+
+@given(ENDS, ENDS, st.booleans())
+@example(Fraction(-5, 7), Fraction(-5, 7), False)
+@example(Fraction(2, 3**1000), Fraction(1, 2 * 3**999), False)
+@example(Fraction(1, 2 * 3**999), Fraction(2, 3**1000), False)
+def test_interval_order_check_matches_fraction_comparison(lo, hi, equal):
+    if equal:
+        hi = lo
+    if lo > hi:
+        with pytest.raises(InvalidInputError) as info:
+            RatInterval(lo, hi)
+        assert str(info.value) == f"empty interval: {lo} > {hi}"
+    else:
+        box = RatInterval(lo, hi)
+        assert (box.lo, box.hi) == (lo, hi)
 
 
 def test_limit_report_certifies():

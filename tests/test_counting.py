@@ -385,23 +385,30 @@ def test_cache_matches_reference_sums(k):
         assert [cache.g(t, n) for n in range(t, 61)] == want[t:]
 
 
-def reference_bordered_count(k: int, n: int) -> int:
+def reference_bordered_count(u: list[int], k: int, n: int) -> int:
     # one power of k per term, summed over the shortest border length i
-    return sum(unbordered_count(k, i) * k ** (n - 2 * i) for i in range(1, n // 2 + 1))
+    return sum(u[i] * k ** (n - 2 * i) for i in range(1, n // 2 + 1))
 
 
-def reference_expected_lso(k: int, n: int) -> Fraction:
+def reference_expected_lso(u: list[int], k: int, n: int) -> Fraction:
     # pairs with lso = i number u_i * k^(2(n-i)); one power of k per term
-    total = sum(i * unbordered_count(k, i) * k ** (2 * (n - i)) for i in range(1, n))
+    total = sum(i * u[i] * k ** (2 * (n - i)) for i in range(1, n))
     return Fraction(total, k ** (2 * n))
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 10])
-def test_horner_sums_match_power_sums(k):
+@pytest.mark.parametrize("k", [1, 2, 3, 10, 100])
+def test_partial_sums_match_power_sums(k):
+    # both sums read the table to m: n // 2 for the bordered count and
+    # n - 1 for the mean.  Up to m = 64 they run the direct loop; 65 halves
+    # once, 129 and 130 twice, 257 three times and 1000 four times.
+    reference = CountCache(k)
+    u = [reference.unbordered(i) for i in range(1001)]
     cache = CountCache(k)
-    for n in range(1, 121):
-        assert bordered_count(k, n, cache=cache) == reference_bordered_count(k, n)
-        assert expected_lso_finite(k, n, cache=cache) == reference_expected_lso(k, n)
+    deep = [64, 65, 129, 130, 257, 1000]
+    for n in [*range(1, 121), *(2 * m for m in deep), *(2 * m + 1 for m in deep)]:
+        assert bordered_count(k, n, cache=cache) == reference_bordered_count(u, k, n)
+    for n in [*range(1, 121), *(m + 1 for m in deep)]:
+        assert expected_lso_finite(k, n, cache=cache) == reference_expected_lso(u, k, n)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 10])
@@ -416,7 +423,7 @@ def test_pair_identities_at_larger_n(k):
         assert neither - mutual == 2 * (u[2 * n] + u[n]) - k ** (2 * n)
 
 
-def test_horner_sums_fill_the_table_once(monkeypatch):
+def test_partial_sums_fill_the_table_once(monkeypatch):
     cache = CountCache(3)
     u = [unbordered_count(3, m, cache=cache) for m in range(2001)]
     want_bordered = 3**2000 - u[2000]

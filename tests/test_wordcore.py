@@ -7,15 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from overlap_lab import (
+    QUANTITIES,
     Alphabet,
+    BudgetExceededError,
     CountCache,
     InvalidInputError,
     PairClass,
     Word,
+    census_by_lso,
     enumerate_pair_census,
     limit_report,
+    max_overlap_sum,
     mutually_bordered_count,
     overlap_profile,
+    verify_decomposition,
+    verify_shortest_unbordered,
 )
 
 BINARY = Alphabet(2)
@@ -254,6 +260,50 @@ def test_non_integer_alphabet_size_is_refused(call):
 def test_alphabet_stores_a_plain_int():
     assert type(Alphabet(True).k) is int
     assert type(CountCache(True).k) is int
+
+
+def wrap8(value: int) -> "Int8":
+    return Int8((value + 128) % 256 - 128)
+
+
+class Int8(int):
+    """An 8-bit integer type: arithmetic wraps, as with numpy.int8."""
+
+    def __add__(self, other):
+        return wrap8(int(self) + other)
+
+    def __sub__(self, other):
+        return wrap8(int(self) - other)
+
+    def __rsub__(self, other):
+        return wrap8(other - int(self))
+
+    def __mul__(self, other):
+        return wrap8(int(self) * other)
+
+    def __pow__(self, other):
+        return wrap8(int(self) ** other)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def test_fixed_width_alphabet_size_does_not_wrap():
+    # Int8(2) ** 8 is 0, so a layer that computed with the caller's k
+    # would pass the budget and miscount the pairs, and divide by zero
+    # in the limit denominator 2^(2*terms)
+    k = Int8(2)
+    assert k**8 == 0
+    with pytest.raises(BudgetExceededError):
+        enumerate_pair_census(k, 4, 4, budget=255)
+    assert enumerate_pair_census(k, 4, 4) == enumerate_pair_census(2, 4, 4)
+    for check in (verify_shortest_unbordered, verify_decomposition):
+        assert check(k, 4) == check(2, 4)
+    assert max_overlap_sum(k, 6) == max_overlap_sum(2, 6)
+    assert census_by_lso(k, 5) == census_by_lso(2, 5)
+    for quantity in QUANTITIES:
+        report = limit_report(quantity, k, 40, 5)
+        assert report == limit_report(quantity, 2, 40, 5)
+        assert type(report.k) is int
 
 
 @pytest.mark.parametrize(
