@@ -17,7 +17,7 @@ from .errors import *
 from .oracle import *
 from .wordcore import *
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = ["__version__"]
 __all__ += asymptotics.__all__

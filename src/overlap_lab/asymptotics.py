@@ -25,10 +25,12 @@ k^(-terms) * (k*(terms+1) - terms) / (k - 1)^2 by the same u_i <= k^i
 bound applied to the weighted geometric series.
 
 The lower ends of the T and E brackets are finite-length counts, so this
-module only adds tail bounds and applies maps.  By the bordered-word
-identity, T's first `terms` terms are the bordered share
-bordered_count(k, 2*terms) / k^(2*terms); E's are the mean lso at length
-terms + 1, expected_lso_finite(k, terms + 1).
+module only adds tail bounds and applies maps.  Both come from one
+partial sum of u at z = k^(-2), counting._power_sums(k, terms, 2), which
+gives N = sum_(i<=terms) u_i*k^(2(terms-i)) and W, the same sum weighted
+by i.  By the bordered-word identity, T's first `terms` terms are
+(N - k^(2*terms)) / k^(2*terms), the bordered share at length 2*terms;
+E's are W / k^(2*terms), the mean lso at length terms + 1.
 
 Bracket invariant: the T bracket [a, b] lies in [1/2, 1] for k = 2 and in
 [0, 1/2] for k >= 3.  For k = 2, a >= u_1/4 = 1/2 and b = 1 - u_(2t)/4^t
@@ -36,45 +38,61 @@ Bracket invariant: the T bracket [a, b] lies in [1/2, 1] for k = 2 and in
 k >= 3, b <= sum_i k^i * k^(-2i) = 1/(k - 1).  So a, b and 1 - b are not
 negative, and t - t^2 is monotone on the bracket.
 
-Ends in lowest terms without full-size gcds.  A Fraction is always in
-lowest terms, and a sum, difference or product of two Fractions reduces
-its result with gcds of the operands' size: about 26,000 bits for T and
-E at k = 3 and 4000 places, 53,000 for M, R and U.  So each end is
-reduced once, when it is built.  With B = bordered_count(k, 2*terms) and
-D = (k - 1) * k^(2*terms), the T ends are ((k - 1)*B) / D and
-((k - 1)*B + k^terms) / D.  E's lower end comes reduced from counting;
-its upper end is lo's numerator rescaled to (k - 1)*D plus the tail,
-over (k - 1)*D.  The maps then use only operations that keep lowest
-terms without a full-size gcd: a power of a reduced fraction is
-reduced, and 1 - x, x - 1/2 and 1/4 - x take gcds with 1, 2 or 4 only.
-That is why R is evaluated as t - t^2 = 1/4 - (t - 1/2)^2.  A command
-thus makes four full-size reductions: the two T ends and the two E ends.
-RatInterval checks lo <= hi exactly over the lcm of the two denominators,
-so ends whose denominators share most of their size, as all built here
-do, cost two products of a full-size number by a small cofactor each.
+Integer ends over known denominators.  With D = (k - 1)*k^(2*terms),
+A0 = (k - 1)*(N - k^(2*terms)) and A1 = A0 + k^terms, the T bracket is
+[A0/D, A1/D], the tail bound 1/((k - 1)*k^terms) being k^terms / D.
+Every quantity's ends are integers over a common denominator known in
+advance (D is even, so 1 - T stays over D and t - t^2 over D^2):
+    M      A0^2 and A1^2 over D^2
+    R      A*(D - A) at A = A0 and A1 over D^2, swapped at k = 2
+    U      (D - A1)^2 and (D - A0)^2 over D^2
+    1 - T  D - A1 and D - A0 over D
+    E      W*(k - 1)^2, and that plus (k*(terms + 1) - terms)*k^terms,
+           over (k - 1)*D
+One _Brackets object holds these for a (k, terms) pair.  A command that
+shares one cache builds it once, in a memo whose weak keys drop it with
+the cache.  limit_report checks lo <= hi and certifies on these
+integers, and builds no Fraction.
 
-Certificate and rounding on integers.  Every bracket end of a quantity
-has a denominator that divides a common denominator known in advance:
-D for 1 - T, D^2 for M, R and U (D is even, so x - 1/2 stays over D
-and 1/4 - x over D^2) and (k - 1)*D for E.  limit_report rescales both ends to it by exact
-division, whose quotients are small, to lo/den and hi/den.  A decimal is
-printed only when the bracket is narrower than half an ulp at the
+Ends in lowest terms, and only when read.  A Fraction is always in
+lowest terms, and reducing an end takes a gcd of its size: about 26,000
+bits for T and E at k = 3 and 4000 places, 53,000 for M, R and U.  So
+LimitReport.interval is built on first read, and so are the reduced T
+ends, once per _Brackets for all four quantities of T.  The maps from
+them use only operations that keep lowest terms without a full-size gcd:
+a power of a reduced fraction is reduced, and 1 - x, x - 1/2 and
+1/4 - x take gcds with 1, 2 or 4 only.  That is why R is evaluated as
+t - t^2 = 1/4 - (t - 1/2)^2.  E's two ends are reduced once each.  The
+five limit_* functions return the same intervals.  RatInterval checks
+lo <= hi exactly over the lcm of the two denominators, so ends whose
+denominators share most of their size, as all built here do, cost two
+products of a full-size number by a small cofactor each.
+
+Certificate and rounding on integers.  A decimal is printed only when
+the bracket [lo/den, hi/den] is narrower than half an ulp at the
 requested precision, 2 * 10^p * (hi - lo) < den, so every printed digit
 is certified; otherwise the report carries no decimal and flags that
 more terms are needed.  The certified digits are (lo + hi) / (2*den)
-rounded half to even by one divmod.  format_decimal runs the same
-rounding on a single value.  Both build the digits in pieces shorter
-than any int-to-str digit cap, so neither needs the cap lifted.
+rounded half to even.  That quotient has about p digits, while den can
+be four times as long, and CPython's long division is quadratic in the
+divisor's length.  So the quotient is taken from the leading bits: both
+operands are shifted down until the divisor keeps the quotient's length
+plus 64 guard bits, which leaves the quotient within one of the true
+one, and one product and the remainder fix it exactly, ties included.
+format_decimal runs the same rounding on a single value.  Both build the
+digits in pieces shorter than any int-to-str digit cap, so neither needs
+the cap lifted.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
-from .counting import CountCache, bordered_count, expected_lso_finite
+from .counting import CountCache, _power_sums, _resolve_cache
 from .errors import InvalidInputError
 from .wordcore import Alphabet
 
@@ -90,6 +108,8 @@ __all__ = [
     "limit_report",
     "unbordered_density_limit",
 ]
+
+QUANTITIES = ("M_limit", "R_limit", "U_limit", "expected_lso", "unbordered_density")
 
 
 @dataclass(frozen=True)
@@ -118,26 +138,6 @@ class RatInterval:
         return self.lo <= value <= self.hi
 
 
-@dataclass(frozen=True)
-class LimitReport:
-    """One limiting quantity with its bracket and certified decimal text.
-
-    decimal is None exactly when the bracket at this `terms` count is too
-    wide to certify `precision` digits after the point.
-    """
-
-    quantity: str
-    k: int
-    terms: int
-    precision: int
-    interval: RatInterval
-    decimal: str | None
-
-    @property
-    def certified(self) -> bool:
-        return self.decimal is not None
-
-
 def _validate(k: int, terms: int) -> int:
     """k as the plain int Alphabet stores, so a fixed-width type cannot wrap."""
     if k < 2:
@@ -148,33 +148,100 @@ def _validate(k: int, terms: int) -> int:
     return k
 
 
-# T brackets by cache and terms.  M, R, U and the unbordered density all
-# need the same bracket, so a command that shares one cache builds it
-# once; weak keys drop the entries together with the cache.
-_T_BRACKETS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+class _Brackets:
+    """The T and E brackets at one (k, terms) as integer ends (module docstring)."""
+
+    def __init__(self, k: int, terms: int):
+        total, weighted = _power_sums(k, terms, 2)
+        square = k ** (2 * terms)
+        self.k = k
+        self.square = square
+        self.den = (k - 1) * square
+        self.a0 = (k - 1) * (total - square)
+        self.a1 = self.a0 + k**terms
+        self.weighted = weighted
+        self.tail = (k * (terms + 1) - terms) * k**terms
+
+    def ends(self, quantity: str) -> tuple[int, int, int]:
+        """lo, hi and their common denominator for one quantity."""
+        d, a0, a1 = self.den, self.a0, self.a1
+        if quantity == "M_limit":
+            return a0 * a0, a1 * a1, d * d
+        if quantity == "R_limit":
+            r0, r1 = a0 * (d - a0), a1 * (d - a1)
+            return (r1, r0, d * d) if self.k == 2 else (r0, r1, d * d)
+        if quantity == "U_limit":
+            return (d - a1) ** 2, (d - a0) ** 2, d * d
+        if quantity == "expected_lso":
+            lo = self.weighted * (self.k - 1) ** 2
+            return lo, lo + self.tail, (self.k - 1) * d
+        return d - a1, d - a0, d
+
+    @cached_property
+    def t(self) -> tuple[Fraction, Fraction]:
+        """The two T ends, each reduced once."""
+        return Fraction(self.a0, self.den), Fraction(self.a1, self.den)
+
+    def interval(self, quantity: str) -> RatInterval:
+        """One quantity's bracket in lowest terms, by gcd-free maps of the T ends."""
+        if quantity == "expected_lso":
+            # hi is lo's numerator rescaled to (k - 1)*D, plus the tail
+            lo, den = Fraction(self.weighted, self.square), (self.k - 1) * self.den
+            hi = lo.numerator * (den // lo.denominator) + self.tail
+            return RatInterval(lo, Fraction(hi, den))
+        a, b = self.t
+        if quantity == "M_limit":
+            return RatInterval(a**2, b**2)
+        if quantity == "R_limit":
+            fa, fb = (Fraction(1, 4) - (t - Fraction(1, 2)) ** 2 for t in (a, b))
+            return RatInterval(fb, fa) if self.k == 2 else RatInterval(fa, fb)
+        if quantity == "U_limit":
+            return RatInterval((1 - b) ** 2, (1 - a) ** 2)
+        return RatInterval(1 - b, 1 - a)
 
 
-def _denominator(k: int, terms: int) -> int:
-    """D = (k - 1) * k^(2*terms), a common denominator of the two T ends."""
-    return (k - 1) * k ** (2 * terms)
+# brackets by cache and terms.  All five quantities read the same sums, so
+# a command that shares one cache builds them once; weak keys drop the
+# entries together with the cache.
+_BRACKETS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _t_bracket(k: int, terms: int, cache: CountCache | None) -> tuple[Fraction, Fraction]:
-    memo = {} if cache is None else _T_BRACKETS.setdefault(cache, {})
+def _brackets(k: int, terms: int, cache: CountCache | None) -> _Brackets:
+    k = _validate(k, terms)
+    memo = {} if cache is None else _BRACKETS.setdefault(_resolve_cache(k, cache), {})
     if terms not in memo:
-        # the first `terms` terms of T are the bordered share at length
-        # 2*terms; over D, the tail bound 1/((k-1) k^terms) is k^terms / D
-        lo = (k - 1) * bordered_count(k, 2 * terms, cache=cache)
-        den = _denominator(k, terms)
-        memo[terms] = Fraction(lo, den), Fraction(lo + k**terms, den)
+        memo[terms] = _Brackets(k, terms)
     return memo[terms]
+
+
+@dataclass(frozen=True)
+class LimitReport:
+    """One limiting quantity with its certified decimal text.
+
+    decimal is None exactly when the bracket at this `terms` count is too
+    wide to certify `precision` digits after the point.  The bracket
+    itself, interval, is built on first read (module docstring).
+    """
+
+    quantity: str
+    k: int
+    terms: int
+    precision: int
+    decimal: str | None
+    _brackets: _Brackets = field(repr=False, compare=False)
+
+    @property
+    def certified(self) -> bool:
+        return self.decimal is not None
+
+    @cached_property
+    def interval(self) -> RatInterval:
+        return self._brackets.interval(self.quantity)
 
 
 def limit_M(k: int, terms: int, *, cache: CountCache | None = None) -> RatInterval:
     """Bracket for the limiting density of mutually bordered pairs, T^2."""
-    k = _validate(k, terms)
-    a, b = _t_bracket(k, terms, cache)
-    return RatInterval(a**2, b**2)
+    return _brackets(k, terms, cache).interval("M_limit")
 
 
 def limit_R(k: int, terms: int, *, cache: CountCache | None = None) -> RatInterval:
@@ -184,37 +251,22 @@ def limit_R(k: int, terms: int, *, cache: CountCache | None = None) -> RatInterv
     images of its ends bound the image; the same holds for M and U.  It
     falls on [1/2, 1] (k = 2) and rises on [0, 1/2] (k >= 3).
     """
-    k = _validate(k, terms)
-    a, b = _t_bracket(k, terms, cache)
-    # t - t^2 in the form that keeps lowest terms without a full-size gcd
-    fa, fb = (Fraction(1, 4) - (t - Fraction(1, 2)) ** 2 for t in (a, b))
-    return RatInterval(fb, fa) if k == 2 else RatInterval(fa, fb)
+    return _brackets(k, terms, cache).interval("R_limit")
 
 
 def limit_U(k: int, terms: int, *, cache: CountCache | None = None) -> RatInterval:
     """Bracket for the limiting density of mutually unbordered pairs, (1-T)^2."""
-    k = _validate(k, terms)
-    a, b = _t_bracket(k, terms, cache)
-    return RatInterval((1 - b) ** 2, (1 - a) ** 2)
+    return _brackets(k, terms, cache).interval("U_limit")
 
 
 def expected_lso_limit(k: int, terms: int, *, cache: CountCache | None = None) -> RatInterval:
     """Bracket for the limiting expected shortest-overlap length."""
-    k = _validate(k, terms)
-    # the first `terms` terms of E are the mean lso at length terms + 1; over
-    # (k-1) D, the tail bound (k(terms+1) - terms) / ((k-1)^2 k^terms) has
-    # numerator (k(terms+1) - terms) k^terms
-    lo = expected_lso_finite(k, terms + 1, cache=cache)
-    den = (k - 1) * _denominator(k, terms)
-    tail = (k * (terms + 1) - terms) * k**terms
-    return RatInterval(lo, Fraction(lo.numerator * (den // lo.denominator) + tail, den))
+    return _brackets(k, terms, cache).interval("expected_lso")
 
 
 def unbordered_density_limit(k: int, terms: int, *, cache: CountCache | None = None) -> RatInterval:
     """Bracket for the limiting unbordered density, 1 - T."""
-    k = _validate(k, terms)
-    a, b = _t_bracket(k, terms, cache)
-    return RatInterval(1 - b, 1 - a)
+    return _brackets(k, terms, cache).interval("unbordered_density")
 
 
 def _digits(n: int, width: int = 1) -> str:
@@ -228,6 +280,26 @@ def _digits(n: int, width: int = 1) -> str:
     return _digits(high, max(width - low, 1)) + _digits(rest, low)
 
 
+def _divmod(num: int, den: int) -> tuple[int, int]:
+    """divmod(num, den) for den > 0, dividing only the leading bits.
+
+    The quotient has at most num.bit_length() - den.bit_length() + 1 bits.
+    Shifted down until the divisor keeps that many plus 64, the operands
+    give a quotient within one of the true one, which the remainder fixes.
+    """
+    length = den.bit_length()
+    shift = length - max(num.bit_length() - length + 1, 0) - 64
+    if shift <= 0:
+        return divmod(num, den)
+    quotient = (num >> shift) // (den >> shift)
+    rest = num - quotient * den
+    while rest < 0:
+        quotient, rest = quotient - 1, rest + den
+    while rest >= den:
+        quotient, rest = quotient + 1, rest - den
+    return quotient, rest
+
+
 def _certified_decimal(lo: int, hi: int, den: int, places: int) -> str | None:
     """(lo + hi) / (2*den) to `places` decimals, rounded half to even.
 
@@ -237,7 +309,7 @@ def _certified_decimal(lo: int, hi: int, den: int, places: int) -> str | None:
     unit = 10**places
     if 2 * unit * (hi - lo) >= den:
         return None
-    scaled, rest = divmod((lo + hi) * unit, 2 * den)
+    scaled, rest = _divmod((lo + hi) * unit, 2 * den)
     if rest > den or (rest == den and scaled % 2):
         scaled += 1
     sign = "-" if scaled < 0 else ""
@@ -250,19 +322,6 @@ def format_decimal(value: Fraction, places: int) -> str:
     return _certified_decimal(value.numerator, value.numerator, value.denominator, places)
 
 
-# each quantity's bracket function, and a common denominator of its ends
-# as D^power * (k-1)^extra (see the module docstring)
-_QUANTITY_FUNCS = {
-    "M_limit": (limit_M, 2, 0),
-    "R_limit": (limit_R, 2, 0),
-    "U_limit": (limit_U, 2, 0),
-    "expected_lso": (expected_lso_limit, 1, 1),
-    "unbordered_density": (unbordered_density_limit, 1, 0),
-}
-
-QUANTITIES = tuple(_QUANTITY_FUNCS)
-
-
 def limit_report(
     quantity: str,
     k: int,
@@ -272,24 +331,15 @@ def limit_report(
     cache: CountCache | None = None,
 ) -> LimitReport:
     """Bracket one quantity and render its decimal if certifiable."""
-    try:
-        func, power, extra = _QUANTITY_FUNCS[quantity]
-    except KeyError:
+    if quantity not in QUANTITIES:
         raise InvalidInputError(
             f"unknown quantity {quantity!r}; choose from {', '.join(QUANTITIES)}"
-        ) from None
+        )
     if precision < 0:
         raise InvalidInputError(f"precision must be non-negative, got {precision}")
-    k = _validate(k, terms)
-    interval = func(k, terms, cache=cache)
-    den = _denominator(k, terms) ** power * (k - 1) ** extra
-    lo, hi = (end.numerator * (den // end.denominator) for end in (interval.lo, interval.hi))
+    brackets = _brackets(k, terms, cache)
+    lo, hi, den = brackets.ends(quantity)
+    if lo > hi:
+        raise InvalidInputError(f"empty interval: {Fraction(lo, den)} > {Fraction(hi, den)}")
     decimal = _certified_decimal(lo, hi, den, precision)
-    return LimitReport(
-        quantity=quantity,
-        k=k,
-        terms=terms,
-        precision=precision,
-        interval=interval,
-        decimal=decimal,
-    )
+    return LimitReport(quantity, brackets.k, terms, precision, decimal, brackets)

@@ -40,7 +40,7 @@ import json
 import os
 import re
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -157,10 +157,13 @@ def _entry_error(parts: list[str], k: int) -> InvalidInputError:
 
 
 class Table(NamedTuple):
-    """One block of CSV rows; in JSON, a list of dict(zip(header, row))."""
+    """One block of CSV rows; in JSON, a list of dict(zip(header, row)).
+
+    rows may be a generator, which the one rendering reads once.
+    """
 
     header: tuple[str, ...]
-    rows: list[tuple]
+    rows: Iterable[tuple]
 
 
 class Result(NamedTuple):
@@ -471,9 +474,11 @@ def cmd_limits(args: argparse.Namespace) -> Result:
             f"{args.terms} terms cannot certify {args.precision} decimal "
             f"places for {', '.join(uncertified)}; rerun with a larger --terms"
         )
+    # a generator: each interval is built on first read, which plain
+    # output never makes
     table = Table(
         ("quantity", "decimal", "lo", "hi"),
-        [(r.quantity, r.decimal, r.interval.lo, r.interval.hi) for r in reports],
+        ((r.quantity, r.decimal, r.interval.lo, r.interval.hi) for r in reports),
     )
 
     def plain() -> None:

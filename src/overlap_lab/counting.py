@@ -13,14 +13,16 @@ The building blocks:
   shortest border, which is itself unbordered and at most n/2 long, then
   sum u_i * k^(n-2i).  The total equals k^n - u_n.
 * bordered_count and expected_lso_finite, the mean sum_(i<n) i*u_i*k^(-2i),
-  each fill the unbordered table once and evaluate a partial sum of it at
-  z = k^(-2): P_m(z) = sum_(i<=m) u_i*z^i, and z*P_m'(z) for the mean.
-  Truncating Nielsen's step gives (1 - kz)*P_m(z) = 2 - P_h(z^2) -
-  k*u_m*z^(m+1) with h = floor(m/2), so P_m at z follows from P_h at z^2,
-  and z*P_m' from both and z*P_h' at z^2.  At z = k^(-e) this runs in
-  integers scaled by powers of k, with exact divisions by k^e - k: O(log m)
-  big-integer steps, not m.  Below 65 terms, and for k = 1, where k^e - k
-  is 0, a Horner loop sums the entries directly.
+  evaluate a partial sum of u at z = k^(-2) without filling a table:
+  P_m(z) = sum_(i<=m) u_i*z^i, and z*P_m'(z) for the mean.  Truncating
+  Nielsen's step gives (1 - kz)*P_m(z) = 2 - P_h(z^2) - k*u_m*z^(m+1)
+  with h = floor(m/2), so P_m at z follows from P_h at z^2, and z*P_m'
+  from both and z*P_h' at z^2.  At z = k^(-e) this runs in integers
+  scaled by powers of k, with exact divisions by k^e - k.  The steps read
+  u only at m, m/2, m/4, ..., and each of those u_n = k^n - bordered(n)
+  is the same kind of sum at n/2, so one call takes O(log^2 m)
+  big-integer steps, not m, and keeps nothing.  Below 65 terms, and for
+  k = 1, where k^e - k is 0, a Horner loop sums Nielsen's first entries.
 * CountCache.g(t, n): length-n unbordered words whose length-t prefix and
   suffix realize a fixed mutually unbordered pair of distinct words.  The
   count depends only on t, not on the pair chosen: it is zero below
@@ -239,50 +241,69 @@ def unbordered_count(k: int, n: int, *, cache: CountCache | None = None) -> int:
     return _resolve_cache(k, cache).unbordered(n)
 
 
-def _power_sums(u: list[int], k: int, m: int, e: int) -> tuple[int, int]:
+def _power_sums(k: int, m: int, e: int) -> tuple[int, int]:
     """N = sum_(i<=m) u_i*k^(e(m-i)) and W, the same sum weighted by i.
 
     With h = m // 2 and s = k^(e(m+1-2h)), the truncated Nielsen step at
     z = k^(-e) and its z-derivative, scaled by k^(e(m+1)), read
       (k^e - k)*N(m, e) = 2*k^(e(m+1)) - s*N(h, 2e) - k*u_m
       (k^e - k)*W(m, e) = k*N(m, e) - 2*s*W(h, 2e) - k*(m+1)*u_m
-    and both divisions are exact; k^e - k is not 0 for k, e >= 2.  u must
-    hold entries 0..m.
+    and both divisions are exact; k^e - k is not 0 for k, e >= 2.  The
+    step reads u only at m, m/2, m/4, ..., and each such u_n = k^n -
+    bordered(n) is the same sum one level down, (N(n//2, 2) -
+    k^(2(n//2)))*k^(n mod 2).  So no table is filled: this call's memo
+    holds O(log^2 m) sums, and below 65 terms a Horner loop in base k^e
+    runs over Nielsen's first 65 entries.  For k = 1, u_i = 0 past i = 1
+    and k^e = 1, so the sum stops at min(m, 1).
     """
-    if m <= 64 or k == 1:
-        base = k**e
-        n = w = 0
-        for i, value in enumerate(u[: m + 1]):
-            n = n * base + value
-            w = w * base + i * value
-        return n, w
-    h = m // 2
-    n, w = _power_sums(u, k, h, 2 * e)
-    shift = k ** (e * (m + 1 - 2 * h))
-    step = k**e - k
-    n = (2 * k ** (e * (m + 1)) - shift * n - k * u[m]) // step
-    w = (k * n - 2 * shift * w - k * (m + 1) * u[m]) // step
-    return n, w
+    prefix = [1]
+    for i in range(1, 65):
+        prefix.append(k * prefix[-1] - (prefix[i // 2] if i % 2 == 0 else 0))
+    sums: dict[tuple[int, int], tuple[int, int]] = {}
+    entries: dict[int, int] = {}
+
+    def unbordered(n: int) -> int:
+        if n <= 64:
+            return prefix[n]
+        if n not in entries:
+            h = n // 2
+            entries[n] = k**n - (partial(h, 2)[0] - k ** (2 * h)) * k ** (n % 2)
+        return entries[n]
+
+    def partial(m: int, e: int) -> tuple[int, int]:
+        if (m, e) not in sums:
+            if m <= 64:
+                base, n, w = k**e, 0, 0
+                for i, value in enumerate(prefix[: m + 1]):
+                    n = n * base + value
+                    w = w * base + i * value
+            else:
+                h = m // 2
+                n, w = partial(h, 2 * e)
+                shift, step, u = k ** (e * (m + 1 - 2 * h)), k**e - k, unbordered(m)
+                n = (2 * k ** (e * (m + 1)) - shift * n - k * u) // step
+                w = (k * n - 2 * shift * w - k * (m + 1) * u) // step
+            sums[m, e] = n, w
+        return sums[m, e]
+
+    return partial(min(m, 1) if k == 1 else m, e)
 
 
 def bordered_count(k: int, n: int, *, cache: CountCache | None = None) -> int:
     """Number of length-n bordered words, summed over the shortest border.
 
     Evaluates sum_i u_i * k^(n-2i) for 1 <= i <= n/2, which also equals
-    k^n - unbordered_count(k, n).  The sum is the cheaper form: it needs
-    the unbordered table only to n/2, while k^n - u_n fills it to n.  The
-    entries grow linearly in size, so a table of m entries holds about
-    m^2 bits, and the difference form would hold four times as many.
-    With m = n // 2 the sum is (N - k^(2m)) * k^(n mod 2), where N is the
-    partial sum to m at k^(-2) (module docstring), scaled by k^(2m).
+    k^n - unbordered_count(k, n).  With m = n // 2 the sum is
+    (N - k^(2m)) * k^(n mod 2), where N is the partial sum to m at k^(-2)
+    (module docstring), scaled by k^(2m).  It reads u only at the
+    O(log n) indices the halving step touches, so it fills no table: the
+    cache only fixes k.
     """
     _require_positive_length(n)
-    c = _resolve_cache(k, cache)
+    k = _resolve_cache(k, cache).k
     m = n // 2
-    c.unbordered(m)
-    # entries never change once written, so the table needs no lock
-    total, _ = _power_sums(c._unbordered, c.k, m, 2)
-    return (total - c.k ** (2 * m)) * c.k ** (n % 2)
+    total, _ = _power_sums(k, m, 2)
+    return (total - k ** (2 * m)) * k ** (n % 2)
 
 
 def mutually_bordered_count(k: int, n: int, *, cache: CountCache | None = None) -> int:
@@ -317,7 +338,6 @@ def s_count(k: int, i: int, n: int, *, cache: CountCache | None = None) -> int:
 def expected_lso_finite(k: int, n: int, *, cache: CountCache | None = None) -> Fraction:
     """Exact mean of lso(u, v) over uniform ordered pairs of length n."""
     _require_positive_length(n)
-    c = _resolve_cache(k, cache)
-    c.unbordered(n - 1)
-    _, total = _power_sums(c._unbordered, c.k, n - 1, 2)
-    return Fraction(total, c.k ** (2 * (n - 1)))
+    k = _resolve_cache(k, cache).k
+    _, total = _power_sums(k, n - 1, 2)
+    return Fraction(total, k ** (2 * (n - 1)))

@@ -8,6 +8,7 @@ the finished, certified reports themselves.
 import gc
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given
@@ -382,20 +383,129 @@ def test_t_bracket_stays_on_one_side_of_one_half(k):
 
 def test_limits_command_builds_the_t_bracket_once(monkeypatch, capsys):
     calls: list[int] = []
-    bordered = asymptotics.bordered_count
+    power_sums = asymptotics._power_sums
 
-    def counted(k, n, *, cache=None):
-        calls.append(n)
-        return bordered(k, n, cache=cache)
+    def counted(k, m, e):
+        calls.append(m)
+        return power_sums(k, m, e)
 
-    monkeypatch.setattr(asymptotics, "bordered_count", counted)
+    monkeypatch.setattr(asymptotics, "_power_sums", counted)
     assert cli.main(["limits", "--k", "3", "--terms", "40", "--precision", "8"]) == 0
-    assert calls == [80]
+    assert calls == [40]
     # the memo entry dies with the command's cache
     gc.collect()
-    assert len(asymptotics._T_BRACKETS) == 0
+    assert len(asymptotics._BRACKETS) == 0
     # with no cache, each bracket is built afresh
     calls.clear()
     assert limit_M(3, 40) == limit_M(3, 40)
-    assert calls == [80, 80]
+    assert calls == [40, 40]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("fmt, built", [("plain", 0), ("csv", 5), ("json", 5)])
+def test_plain_limits_builds_no_interval(monkeypatch, capsys, fmt, built):
+    # plain output prints only the certified decimals, which limit_report
+    # takes from integer ends; csv and json print each bracket once
+    intervals: list[RatInterval] = []
+
+    class Counted(RatInterval):
+        def __post_init__(self):
+            intervals.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(asymptotics, "RatInterval", Counted)
+    argv = ["limits", "--k", "3", "--terms", "40", "--precision", "8", "--format", fmt]
+    assert cli.main(argv) == 0
+    assert len(intervals) == built
+    capsys.readouterr()
+
+
+LIMIT_FUNCS = {
+    "M_limit": limit_M,
+    "R_limit": limit_R,
+    "U_limit": limit_U,
+    "expected_lso": expected_lso_limit,
+    "unbordered_density": unbordered_density_limit,
+}
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_report_interval_is_the_limit_bracket_in_lowest_terms(k):
+    assert tuple(LIMIT_FUNCS) == QUANTITIES
+    cache = CountCache(k)
+    for terms in range(1, 61):
+        for quantity, func in LIMIT_FUNCS.items():
+            report = limit_report(quantity, k, terms, 3, cache=cache)
+            want = func(k, terms)
+            assert report.interval == want, (quantity, terms)
+            # the certificate's integer ends are the same bracket
+            lo, hi, den = asymptotics._brackets(k, terms, cache).ends(quantity)
+            assert (Fraction(lo, den), Fraction(hi, den)) == (want.lo, want.hi)
+            for end in (report.interval.lo, report.interval.hi):
+                assert gcd(end.numerator, end.denominator) == 1
+
+
+def test_swapped_integer_ends_raise_the_interval_message(monkeypatch):
+    ends = asymptotics._Brackets.ends
+
+    def swapped(self, quantity):
+        lo, hi, den = ends(self, quantity)
+        return hi, lo, den
+
+    monkeypatch.setattr(asymptotics._Brackets, "ends", swapped)
+    for quantity in QUANTITIES:
+        lo, hi, den = ends(asymptotics._Brackets(3, 5), quantity)
+        with pytest.raises(InvalidInputError) as want:
+            RatInterval(Fraction(hi, den), Fraction(lo, den))
+        with pytest.raises(InvalidInputError) as got:
+            limit_report(quantity, 3, 5, 2)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("empty interval: ")
+
+
+# the short division against Python's divmod and the Fraction rounding of
+# reference_decimal: numerators of either sign, up to 2^3100, over
+# denominators from 1 up to 2^3000, so that the divisor can be far longer
+# than the quotient and the numerator shorter than the divisor
+NUMERATORS = st.integers(-(2**3100), 2**3100)
+DENOMINATORS = st.integers(1, 2**3000)
+
+
+@given(NUMERATORS, st.integers(0, 10**6), DENOMINATORS, st.integers(0, 30))
+@example(3 * 5 * 10**40, 0, 2 * 10**41, 0)  # 0.75 at no places
+@example(-(3**2000), 1, 3**2001 * 2**900, 12)
+def test_certified_decimal_matches_fraction_rounding(lo, width, den, places):
+    hi = lo + width
+    num = (lo + hi) * 10**places
+    assert asymptotics._divmod(num, 2 * den) == divmod(num, 2 * den)
+    want = reference_decimal(RatInterval(Fraction(lo, den), Fraction(hi, den)), places)
+    assert asymptotics._certified_decimal(lo, hi, den, places) == want
+
+
+@given(st.integers(-(10**12), 10**12), st.integers(0, 2**2000), st.integers(0, 20))
+@example(0, 1, 0)
+@example(-1, 2**1999, 7)
+def test_format_decimal_rounds_exact_ties_to_even(odd, scale, places):
+    # (2*odd + 1) / (2 * 10^places) is exactly half an ulp past a
+    # representable decimal; the cofactor scale + 1 keeps it unreduced,
+    # so the denominator can be far longer than the quotient
+    cofactor = scale + 1
+    num, den = (2 * odd + 1) * cofactor, 2 * 10**places * cofactor
+    value = Fraction(num, den)
+    want = reference_decimal(RatInterval(value, value), places)
+    assert format_decimal(value, places) == want
+    assert asymptotics._certified_decimal(num, num, den, places) == want
+    assert format_decimal(-value, places) == reference_decimal(RatInterval(-value, -value), places)
+
+
+@pytest.mark.parametrize("q", [2, 3**50, 7**400], ids=["2", "3^50", "7^400"])
+@pytest.mark.parametrize("shift", [1, 64, 4000])
+def test_short_division_fixes_the_estimate_either_way(q, shift):
+    # the shifted operands give an exact quotient (or one just below an
+    # integer), while the dropped low bits of a divisor 2^shift - 1 past
+    # them move the true quotient one step: down for a positive
+    # numerator, up for a negative one
+    d = 2 ** (q.bit_length() + 65) + 1
+    den = (d << shift) + (1 << shift) - 1
+    for num in (q * d << shift, (-q * d - 1) << shift):
+        assert asymptotics._divmod(num, den) == divmod(num, den)

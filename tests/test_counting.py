@@ -10,6 +10,7 @@ import itertools
 import random
 import sys
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from operator import mul
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from overlap_lab import counting
 from overlap_lab import (
     CountCache,
     InvalidInputError,
@@ -423,7 +425,28 @@ def test_pair_identities_at_larger_n(k):
         assert neither - mutual == 2 * (u[2 * n] + u[n]) - k ** (2 * n)
 
 
-def test_partial_sums_fill_the_table_once(monkeypatch):
+def reference_power_sums(u: list[int], k: int, m: int, e: int) -> tuple[int, int]:
+    # Horner in base k^e over one u list, plain and weighted by i
+    total = weighted = 0
+    for i, value in enumerate(u[: m + 1]):
+        total = total * k**e + value
+        weighted = weighted * k**e + i * value
+    return total, weighted
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 10, 100])
+def test_table_free_power_sums_match_horner(k):
+    # up to m = 64 the base loop alone; 65 halves once, 129 and 130 twice,
+    # 257 three times, 1000 and 3000 four and six times, and every halving
+    # reads u_m as a sum one level down
+    cache = CountCache(k)
+    u = [cache.unbordered(i) for i in range(3001)]
+    for m in (0, 1, 64, 65, 129, 130, 257, 1000, 3000):
+        for e in (2, 4):
+            assert counting._power_sums(k, m, e) == reference_power_sums(u, k, m, e), (m, e)
+
+
+def test_partial_sums_fill_no_table(monkeypatch):
     cache = CountCache(3)
     u = [unbordered_count(3, m, cache=cache) for m in range(2001)]
     want_bordered = 3**2000 - u[2000]
@@ -437,17 +460,33 @@ def test_partial_sums_fill_the_table_once(monkeypatch):
 
     monkeypatch.setattr(CountCache, "unbordered", counted)
     assert bordered_count(3, 2000) == want_bordered
-    assert len(calls) <= 1
-    calls.clear()
     assert expected_lso_finite(3, 1000) == want_mean
-    assert len(calls) <= 1
+    assert calls == []
+    # a cache only fixes k; its table stays at u_0
+    cold = CountCache(3)
+    assert bordered_count(3, 20000, cache=cold) == bordered_count(3, 20000)
+    assert expected_lso_finite(3, 10001, cache=cold) == expected_lso_finite(3, 10001)
+    assert len(cold._unbordered) == 1
+    with pytest.raises(InvalidInputError):
+        bordered_count(2, 10, cache=cold)
+
+
+def test_single_letter_sums_skip_the_zero_entries():
+    # over one letter u_i = 0 past i = 1, so the sums stop there instead
+    # of asking for 10^5 entries one at a time
+    start = time.perf_counter()
+    assert counting._power_sums(1, 10**5, 2) == (2, 1)
+    assert bordered_count(1, 2 * 10**5) == 1
+    assert expected_lso_finite(1, 10**5 + 1) == 1
+    assert time.perf_counter() - start < 0.5
 
 
 def test_limit_bracket_fills_u_only_to_terms():
     # T's lower end sums u_i * k^(-2i) over i <= terms; taking it as
-    # 1 - u_(2 terms) / k^(2 terms) fills u twice as far, and the table's
+    # 1 - u_(2 terms) / k^(2 terms) fills u to 2 terms, and the table's
     # bits grow with the square of its length.  At terms = 3000 the real
-    # code peaks at 1.0 MiB and that shortcut at 3.8 MiB.
+    # code, which fills no table, peaks at 0.05 MiB, a fill to terms at
+    # 1.0 MiB and that shortcut at 3.8 MiB.
     tracemalloc.start()
     try:
         limit_report("M_limit", 3, 3000, 3)
