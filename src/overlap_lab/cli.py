@@ -353,13 +353,11 @@ def cmd_oracle(args: argparse.Namespace) -> Result:
     budget = _budget_from_env()
 
     # refuse deterministically before any output if the largest requested
-    # sub-enumeration would blow the budget
-    largest = 0
-    if "census" in checks:
-        largest = max(largest, k ** (m_max + args.n_max))
-    if any(c in checks for c in ("lemmas", "fourthirds", "lso-histogram")):
-        largest = max(largest, k ** (2 * args.n_max))
-    ensure_within_budget(largest, budget)
+    # sub-enumeration would blow the budget: the census pairs words of
+    # length up to m with words up to n, and every other check pairs two
+    # words up to n
+    sizes = (m_max + args.n_max if c == "census" else 2 * args.n_max for c in checks)
+    ensure_within_budget(k ** max(sizes), budget)
 
     tables: list[Table] = []
     results: dict[str, Table] = {}

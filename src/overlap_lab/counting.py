@@ -74,7 +74,7 @@ import threading
 from fractions import Fraction
 
 from .errors import InvalidInputError
-from .wordcore import Alphabet
+from .wordcore import Alphabet, _require_length
 
 __all__ = [
     "CountCache",
@@ -187,8 +187,7 @@ class CountCache:
         return sq
 
     def _ensure_pairs_locked(self, n: int) -> None:
-        if n < 1:
-            raise InvalidInputError(f"length must be at least 1, got {n}")
+        _require_length(n)
         filled = len(self._mutual) - 1
         if n <= filled:
             return
@@ -231,11 +230,6 @@ def _resolve_cache(k: int, cache: CountCache | None) -> CountCache:
     return cache
 
 
-def _require_positive_length(n: int) -> None:
-    if n < 1:
-        raise InvalidInputError(f"length must be at least 1, got {n}")
-
-
 def unbordered_count(k: int, n: int, *, cache: CountCache | None = None) -> int:
     """Number u_n of length-n unbordered words over k symbols."""
     return _resolve_cache(k, cache).unbordered(n)
@@ -256,9 +250,9 @@ def _power_sums(k: int, m: int, e: int) -> tuple[int, int]:
     runs over Nielsen's first 65 entries.  For k = 1, u_i = 0 past i = 1
     and k^e = 1, so the sum stops at min(m, 1).
     """
-    prefix = [1]
-    for i in range(1, 65):
-        prefix.append(k * prefix[-1] - (prefix[i // 2] if i % 2 == 0 else 0))
+    # Nielsen's first 65 entries, by the step the cache runs, on a list of
+    # this call's own
+    prefix = CountCache(k)._nielsen_locked([1], 64)
     sums: dict[tuple[int, int], tuple[int, int]] = {}
     entries: dict[int, int] = {}
 
@@ -299,7 +293,7 @@ def bordered_count(k: int, n: int, *, cache: CountCache | None = None) -> int:
     O(log n) indices the halving step touches, so it fills no table: the
     cache only fixes k.
     """
-    _require_positive_length(n)
+    _require_length(n)
     k = _resolve_cache(k, cache).k
     m = n // 2
     total, _ = _power_sums(k, m, 2)
@@ -328,7 +322,7 @@ def s_count(k: int, i: int, n: int, *, cache: CountCache | None = None) -> int:
     u's tail and v's head, and the remaining symbols are free, giving
     u_i * k^(2(n-i)).  Only proper overlaps qualify, so 1 <= i <= n - 1.
     """
-    _require_positive_length(n)
+    _require_length(n)
     if not 1 <= i <= n - 1:
         raise InvalidInputError(f"overlap length must be in 1..{n - 1}, got {i}")
     c = _resolve_cache(k, cache)
@@ -337,7 +331,7 @@ def s_count(k: int, i: int, n: int, *, cache: CountCache | None = None) -> int:
 
 def expected_lso_finite(k: int, n: int, *, cache: CountCache | None = None) -> Fraction:
     """Exact mean of lso(u, v) over uniform ordered pairs of length n."""
-    _require_positive_length(n)
+    _require_length(n)
     k = _resolve_cache(k, cache).k
     _, total = _power_sums(k, n - 1, 2)
     return Fraction(total, k ** (2 * (n - 1)))

@@ -19,9 +19,10 @@ lso(u, v) = i are right_within[i] ^ right_within[i - 1], and the v with
 lso(v, u) > t are left_within[-1] ^ left_within[t].  So each u costs
 O(n) big-integer operations.
 
-Every entry point that enumerates pairs refuses up front when the pair
-count exceeds the budget (DEFAULT_PAIR_BUDGET unless overridden), so a
-typo cannot start a multi-day loop.
+Every entry point that enumerates pairs runs one entry check before it
+starts: it refuses a bad size, and a pair count over the budget
+(DEFAULT_PAIR_BUDGET unless overridden), so a typo cannot start a
+multi-day loop.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from operator import or_
 from typing import Callable, Iterator
 
 from .errors import BudgetExceededError, InvalidInputError
-from .wordcore import Alphabet, Word, _prefix_function
+from .wordcore import Alphabet, Word, _prefix_function, _require_length
 
 __all__ = [
     "DEFAULT_PAIR_BUDGET",
@@ -84,11 +85,17 @@ def ensure_within_budget(pair_count: int, budget: int | None = None) -> None:
         raise BudgetExceededError(pair_count, limit)
 
 
-def _validate_kn(k: int, n: int) -> int:
-    """k as the plain int Alphabet stores, so a fixed-width type cannot wrap."""
+def _validate_pairs(k: int, m: int, n: int, budget: int | None) -> int:
+    """Every entry rule of an enumeration over |u| = m, |v| = n, in order.
+
+    k first, then n, then m, then the k^(m+n) pairs against the budget.
+    Returns k as the plain int Alphabet stores, so a fixed-width type
+    cannot wrap.
+    """
     k = Alphabet(k).k
-    if n < 1:
-        raise InvalidInputError(f"length must be at least 1, got {n}")
+    _require_length(n)
+    _require_length(m)
+    ensure_within_budget(k ** (m + n), budget)
     return k
 
 
@@ -140,8 +147,7 @@ def _verify(k: int, n: int, budget: int | None, cap: int, hits_of: Callable) -> 
     cumulative sets and adds a j loop only at an i where some v
     interleaves with u.
     """
-    k = _validate_kn(k, n)
-    ensure_within_budget(k ** (2 * n), budget)
+    k = _validate_pairs(k, n, n, budget)
     alphabet = Alphabet(k)
     words = list(product(range(k), repeat=n))
     violations: list[tuple[Word, Word, str]] = []
@@ -158,10 +164,7 @@ def enumerate_pair_census(
     k: int, m: int, n: int, *, budget: int | None = None
 ) -> PairCensus:
     """Classify every ordered pair with |u| = m, |v| = n by brute force."""
-    k = _validate_kn(k, n)
-    if m < 1:
-        raise InvalidInputError(f"length must be at least 1, got {m}")
-    ensure_within_budget(k ** (m + n), budget)
+    k = _validate_pairs(k, m, n, budget)
     mutual = right = left = 0
     for right_sets, left_sets in _overlap_sets(k, m, n):
         has_right = reduce(or_, right_sets)
@@ -278,8 +281,7 @@ def max_overlap_sum(k: int, n: int, *, budget: int | None = None) -> int:
     has lso(v, u) > best - i.  A pair with lso(u, v) = 0 has the sum of its
     swap (v, u), so it needs no pass.  The result never exceeds floor(4n/3).
     """
-    k = _validate_kn(k, n)
-    ensure_within_budget(k ** (2 * n), budget)
+    k = _validate_pairs(k, n, n, budget)
     best = 0
     for right, left in _overlap_sets(k, n, n):
         right_within = list(accumulate(right, or_))
@@ -300,8 +302,7 @@ def census_by_lso(k: int, n: int, *, budget: int | None = None) -> dict[int, int
     overlaps at length l depend only on suffix_l(u), so the walk runs over
     suffixes, each standing for the k^(n-l) words u that end with it.
     """
-    k = _validate_kn(k, n)
-    ensure_within_budget(k ** (2 * n), budget)
+    k = _validate_pairs(k, n, n, budget)
     power = [k**e for e in range(n + 1)]
     histogram = {i: 0 for i in range(n)}
     # (l, code of a length-l suffix, the v it overlaps at a length <= l, their count)

@@ -55,6 +55,12 @@ class Alphabet:
         object.__setattr__(self, "k", k)
 
 
+def _require_length(n: int) -> None:
+    """Refuse a word length below 1, where a count or a census has no pair."""
+    if n < 1:
+        raise InvalidInputError(f"length must be at least 1, got {n}")
+
+
 @dataclass(frozen=True)
 class Word:
     """Immutable word over an integer alphabet.  May be empty."""
