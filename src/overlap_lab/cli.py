@@ -311,10 +311,11 @@ def cmd_analyze(args: argparse.Namespace) -> Result:
 
 
 def cmd_count(args: argparse.Namespace) -> Result:
+    k, quantities = args.k, args.quantities
+    # the cache refuses a bad k, before --n is checked, as oracle does
+    cache = CountCache(k)
     if args.n_max < 1:
         raise InvalidInputError(f"--n must be at least 1, got {args.n_max}")
-    k, quantities = args.k, args.quantities
-    cache = CountCache(k)
     if quantities != ("u",):  # one pair fill to n, not one per row
         cache.mutually_bordered(args.n_max)
     counts = {

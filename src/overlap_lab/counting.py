@@ -48,7 +48,9 @@ The building blocks:
   C(n) = [z^n] u(z)^2 - 2*u_n; S_p takes F = G_p, with c = 1, r = p.
   Each step is a few big-integer operations.  u and every g_t run the
   Nielsen step itself, subtracting at every even m; a g_t table is zero
-  below 2t.
+  below 2t.  Both steps are module functions of k that extend a list
+  they are given, so the pair fill, g() and the halving partial sums run
+  the same code, and a CountCache holds only u, the M rows and its lock.
 * The pair tables fill p by p.  The close rows come first, from u(z)^2,
   which each fill builds and drops like an S_p; then for each p <= n/3
   in order, g_p runs to length (n - p + 1)/2 and S_p to n + p or one
@@ -70,6 +72,7 @@ The building blocks:
 
 from __future__ import annotations
 
+import functools
 import threading
 from fractions import Fraction
 
@@ -88,16 +91,44 @@ __all__ = [
 ]
 
 
+def _nielsen(k: int, tbl: list[int], n: int) -> list[int]:
+    # extend tbl to index n by tbl[m] = k*tbl[m-1] - tbl[m/2], the
+    # subtraction at even m
+    while len(tbl) <= n:
+        m = len(tbl)
+        value = k * tbl[m - 1]
+        if m % 2 == 0:
+            value -= tbl[m // 2]
+        tbl.append(value)
+    return tbl
+
+
+def _square(k: int, sq: list[int], f: list[int], c: int, r: int, n: int) -> list[int]:
+    # extend sq, [z^m] F(z)^2 for F(z)(1 - kz) = c*z^(2r) - F(z^2), to
+    # index n or n + 1, two steps at a time, so its length stays odd:
+    # the odd step has no half-index terms, the even step m = 2h adds
+    # sq[h] and subtracts 2c*f[h - r].  f is read only to (n + 1)/2 - r.
+    twice_k, k2 = 2 * k, k * k
+    a, b = sq[-2], sq[-1]
+    for h in range(len(sq) // 2 + 1, (n + 1) // 2 + 1):
+        a = twice_k * b - k2 * a
+        b = twice_k * a - k2 * b + sq[h] - 2 * c * f[h - r]
+        sq += a, b
+    return sq
+
+
 class CountCache:
     """Memoized count tables for one alphabet size.
 
     Every table runs the Nielsen step (u, each g_t) or its square
-    (u(z)^2, each S_p), so nothing convolves.  A pair fill to n builds
-    the close rows, then each S_p once, from 4p to n + p, adds it into
-    every row it reaches and drops it.  A request past the filled rows
-    fills to at least half again as many, since the next fill restarts
-    every S_p.  g() builds its g_t list per call, as the fill does.  R
-    and U are lookups, from M and u through the borders of vu.
+    (u(z)^2, each S_p), so nothing convolves.  Both steps are module
+    functions of k, and the cache holds only the state that outlives a
+    call: u, the M rows and the lock that guards them.  A pair fill to n
+    builds the close rows, then each S_p once, from 4p to n + p, adds it
+    into every row it reaches and drops it.  A request past the filled
+    rows fills to at least half again as many, since the next fill
+    restarts every S_p.  g() builds its g_t list per call, as the fill
+    does.  R and U are lookups, from M and u through the borders of vu.
 
     Only u and the M rows outlive a call: u is append-only with every
     entry final, and the M rows are published in one assignment after the
@@ -118,7 +149,7 @@ class CountCache:
         if n < 0:
             raise InvalidInputError(f"length must be non-negative, got {n}")
         with self._lock:
-            return self._nielsen_locked(self._unbordered, n)[n]
+            return _nielsen(self.k, self._unbordered, n)[n]
 
     def g(self, t: int, n: int) -> int:
         """g_t(n): length-n unbordered words with both ends pinned to a seed pair.
@@ -139,9 +170,8 @@ class CountCache:
         if n < 2 * t:
             return 0
         # zero below 2t, too short to hold both ends of a mutually
-        # unbordered pair, and one at 2t, the seed pair itself.  The list
-        # is this call's own and the step reads only k, so no lock.
-        return self._nielsen_locked([0] * (2 * t) + [1], n)[n]
+        # unbordered pair, and one at 2t, the seed pair itself
+        return _nielsen(self.k, [0] * (2 * t) + [1], n)[n]
 
     def mutually_bordered(self, n: int) -> int:
         with self._lock:
@@ -160,32 +190,6 @@ class CountCache:
             u = self._unbordered
             return self._mutual[n] + 2 * (u[2 * n] + u[n]) - self.k ** (2 * n)
 
-    def _nielsen_locked(self, tbl: list[int], n: int) -> list[int]:
-        # extend tbl to index n by tbl[m] = k*tbl[m-1] - tbl[m/2], the
-        # subtraction at even m
-        k = self.k
-        while len(tbl) <= n:
-            m = len(tbl)
-            value = k * tbl[m - 1]
-            if m % 2 == 0:
-                value -= tbl[m // 2]
-            tbl.append(value)
-        return tbl
-
-    def _square_locked(self, sq: list[int], f: list[int], c: int, r: int, n: int) -> list[int]:
-        # extend sq, [z^m] F(z)^2 for F(z)(1 - kz) = c*z^(2r) - F(z^2), to
-        # index n or n + 1, two steps at a time, so its length stays odd:
-        # the odd step has no half-index terms, the even step m = 2h adds
-        # sq[h] and subtracts 2c*f[h - r].  f is read only to (n + 1)/2 - r.
-        k = self.k
-        twice_k, k2 = 2 * k, k * k
-        a, b = sq[-2], sq[-1]
-        for h in range(len(sq) // 2 + 1, (n + 1) // 2 + 1):
-            a = twice_k * b - k2 * a
-            b = twice_k * a - k2 * b + sq[h] - 2 * c * f[h - r]
-            sq += a, b
-        return sq
-
     def _ensure_pairs_locked(self, n: int) -> None:
         _require_length(n)
         filled = len(self._mutual) - 1
@@ -197,11 +201,11 @@ class CountCache:
         top = max(n, 3 * filled // 2)
         k = self.k
         k2 = k * k
-        u = self._nielsen_locked(self._unbordered, 2 * top)
+        u = _nielsen(k, self._unbordered, 2 * top)
         # close pairs: overlap lengths a = lso(u,v), b = lso(v,u) with
         # a + b <= j; the two shortest overlaps are disjoint unbordered
         # blocks and the middles are free; sq[m] = [z^m] u(z)^2, seeded to 2
-        sq = self._square_locked([1, 2 * k, 3 * k2 - 2 * k], u, 2, 0, top)
+        sq = _square(k, [1, 2 * k, 3 * k2 - 2 * k], u, 2, 0, top)
         rows = [0] * (top + 1)
         for j in range(1, top + 1):
             rows[j] = k2 * rows[j - 1] + sq[j] - 2 * u[j]
@@ -213,8 +217,8 @@ class CountCache:
         # reached: row p takes only seeds p' <= p/3 < p.
         for p in range(1, top // 3 + 1):
             seeds = rows[p] + 2 * u[2 * p] + u[p] - k2**p
-            g = self._nielsen_locked([0] * (2 * p) + [1], (top - p + 1) // 2)
-            far = self._square_locked([0] * (4 * p) + [1], g, 1, p, top + p)
+            g = _nielsen(k, [0] * (2 * p) + [1], (top - p + 1) // 2)
+            far = _square(k, [0] * (4 * p) + [1], g, 1, p, top + p)
             for j in range(max(filled + 1, 3 * p), top + 1):
                 rows[j] += seeds * far[j + p]
         # published only now, in one assignment, so an interrupted fill
@@ -243,42 +247,36 @@ def _power_sums(k: int, m: int, e: int) -> tuple[int, int]:
       (k^e - k)*N(m, e) = 2*k^(e(m+1)) - s*N(h, 2e) - k*u_m
       (k^e - k)*W(m, e) = k*N(m, e) - 2*s*W(h, 2e) - k*(m+1)*u_m
     and both divisions are exact; k^e - k is not 0 for k, e >= 2.  The
-    step reads u only at m, m/2, m/4, ..., and each such u_n = k^n -
-    bordered(n) is the same sum one level down, (N(n//2, 2) -
-    k^(2(n//2)))*k^(n mod 2).  So no table is filled: this call's memo
-    holds O(log^2 m) sums, and below 65 terms a Horner loop in base k^e
-    runs over Nielsen's first 65 entries.  For k = 1, u_i = 0 past i = 1
-    and k^e = 1, so the sum stops at min(m, 1).
+    step reads u only at m, m/2, m/4, ..., and each such u_n is the same
+    sum one level down: u_n = k^n - bordered(n) = 2*k^n - N(n//2,
+    2)*k^(n mod 2), as k^n = k^(2(n//2))*k^(n mod 2).  So no table is
+    filled: this call's two functools.cache memos hold O(log^2 m) sums and
+    O(log m) entries of u, and below 65 terms a Horner loop in base k^e
+    runs over Nielsen's first 65 entries.  u is asked for only past 64, as
+    the step runs only there.  For k = 1, u_i = 0 past i = 1 and k^e = 1,
+    so the sum stops at min(m, 1).
     """
-    # Nielsen's first 65 entries, by the step the cache runs, on a list of
-    # this call's own
-    prefix = CountCache(k)._nielsen_locked([1], 64)
-    sums: dict[tuple[int, int], tuple[int, int]] = {}
-    entries: dict[int, int] = {}
+    # Nielsen's first 65 entries, by the step the cache runs
+    prefix = _nielsen(k, [1], 64)
 
+    @functools.cache
     def unbordered(n: int) -> int:
-        if n <= 64:
-            return prefix[n]
-        if n not in entries:
-            h = n // 2
-            entries[n] = k**n - (partial(h, 2)[0] - k ** (2 * h)) * k ** (n % 2)
-        return entries[n]
+        return 2 * k**n - partial(n // 2, 2)[0] * k ** (n % 2)
 
+    @functools.cache
     def partial(m: int, e: int) -> tuple[int, int]:
-        if (m, e) not in sums:
-            if m <= 64:
-                base, n, w = k**e, 0, 0
-                for i, value in enumerate(prefix[: m + 1]):
-                    n = n * base + value
-                    w = w * base + i * value
-            else:
-                h = m // 2
-                n, w = partial(h, 2 * e)
-                shift, step, u = k ** (e * (m + 1 - 2 * h)), k**e - k, unbordered(m)
-                n = (2 * k ** (e * (m + 1)) - shift * n - k * u) // step
-                w = (k * n - 2 * shift * w - k * (m + 1) * u) // step
-            sums[m, e] = n, w
-        return sums[m, e]
+        if m <= 64:
+            base, n, w = k**e, 0, 0
+            for i, value in enumerate(prefix[: m + 1]):
+                n = n * base + value
+                w = w * base + i * value
+            return n, w
+        h = m // 2
+        n, w = partial(h, 2 * e)
+        shift, step, u = k ** (e * (m + 1 - 2 * h)), k**e - k, unbordered(m)
+        n = (2 * k ** (e * (m + 1)) - shift * n - k * u) // step
+        w = (k * n - 2 * shift * w - k * (m + 1) * u) // step
+        return n, w
 
     return partial(min(m, 1) if k == 1 else m, e)
 
@@ -293,8 +291,8 @@ def bordered_count(k: int, n: int, *, cache: CountCache | None = None) -> int:
     O(log n) indices the halving step touches, so it fills no table: the
     cache only fixes k.
     """
-    _require_length(n)
     k = _resolve_cache(k, cache).k
+    _require_length(n)
     m = n // 2
     total, _ = _power_sums(k, m, 2)
     return (total - k ** (2 * m)) * k ** (n % 2)
@@ -322,16 +320,16 @@ def s_count(k: int, i: int, n: int, *, cache: CountCache | None = None) -> int:
     u's tail and v's head, and the remaining symbols are free, giving
     u_i * k^(2(n-i)).  Only proper overlaps qualify, so 1 <= i <= n - 1.
     """
+    c = _resolve_cache(k, cache)
     _require_length(n)
     if not 1 <= i <= n - 1:
         raise InvalidInputError(f"overlap length must be in 1..{n - 1}, got {i}")
-    c = _resolve_cache(k, cache)
     return c.unbordered(i) * c.k ** (2 * (n - i))
 
 
 def expected_lso_finite(k: int, n: int, *, cache: CountCache | None = None) -> Fraction:
     """Exact mean of lso(u, v) over uniform ordered pairs of length n."""
-    _require_length(n)
     k = _resolve_cache(k, cache).k
+    _require_length(n)
     _, total = _power_sums(k, n - 1, 2)
     return Fraction(total, k ** (2 * (n - 1)))

@@ -577,7 +577,7 @@ def test_close_and_far_recurrences_match_direct_sums(k):
     u = cache._unbordered
     # the fill squares u(z) from the same seed, [z^m] u(z)^2 to m = 2, and
     # C(m) = [z^m] (u(z) - 1)^2 = [z^m] u(z)^2 - 2*u_m for m >= 1
-    sq = cache._square_locked([1, 2 * k, 3 * k * k - 2 * k], u, 2, 0, 300)
+    sq = counting._square(k, [1, 2 * k, 3 * k * k - 2 * k], u, 2, 0, 300)
     assert [0] + [sq[m] - 2 * u[m] for m in range(1, 301)] == reference_close_sums(k, 300)
     # the fill builds each S_p with the same step, two lengths at a time
     # from an odd-length seed, and drops it, so an odd end stops one past;
@@ -586,7 +586,7 @@ def test_close_and_far_recurrences_match_direct_sums(k):
         want = reference_g_squares(k, p, 200)
         for n in (200, 199):
             g = reference_g_table(k, p, 200)[: (n - p + 1) // 2 + 1]
-            assert cache._square_locked([0] * (4 * p) + [1], g, 1, p, n) == want
+            assert counting._square(k, [0] * (4 * p) + [1], g, 1, p, n) == want
 
 
 @pytest.mark.parametrize("k,n_max", [(2, 400), (3, 200), (1, 80), (10, 80)])
@@ -612,12 +612,12 @@ def test_interrupted_fill_finishes_like_a_cold_one(monkeypatch, warm, where, whe
     cache, cold = CountCache(2), CountCache(2)
     if warm:
         cache.mutually_bordered(warm)
-    name = "_nielsen_locked" if where == "u" else "_square_locked"
-    step = getattr(CountCache, name)
+    name = "_nielsen" if where == "u" else "_square"
+    step = getattr(counting, name)
 
-    def interrupted(self, first, *rest):
+    def interrupted(k, first, *rest):
         if where == "u":
-            hit = first is self._unbordered
+            hit = first is cache._unbordered
         elif where == "close":
             # the close square is the one with c = 2, r = 0
             hit = rest[1:3] == (2, 0)
@@ -626,12 +626,12 @@ def test_interrupted_fill_finishes_like_a_cold_one(monkeypatch, warm, where, whe
             hit = rest[2] == where
         if hit and when == "before":
             raise KeyboardInterrupt
-        result = step(self, first, *rest)
+        result = step(k, first, *rest)
         if hit:
             raise KeyboardInterrupt
         return result
 
-    monkeypatch.setattr(CountCache, name, interrupted)
+    monkeypatch.setattr(counting, name, interrupted)
     with pytest.raises(KeyboardInterrupt):
         cache.mutually_bordered(80)
     monkeypatch.undo()

@@ -3,8 +3,9 @@
 The oracle enumerators classify all k^(m+n) pairs, so each refuses a bad
 alphabet size, a bad length or an over-budget pair count before it starts.
 When an argument list has several faults, the first is reported in the
-order k, n, m, budget.  The count functions refuse a length below 1, and
-oracle --checks refuses on the largest enumeration it was asked for.
+order k, n, m, budget.  The count functions refuse a length below 1, after
+k and the cache, and oracle --checks refuses on the largest enumeration it
+was asked for.  Each command's own size checks exit 2 with one stderr line.
 """
 
 import pytest
@@ -17,6 +18,7 @@ from overlap_lab import (
     census_by_lso,
     enumerate_pair_census,
     expected_lso_finite,
+    limit_report,
     max_overlap_sum,
     mutually_bordered_count,
     mutually_unbordered_count,
@@ -27,7 +29,7 @@ from overlap_lab import (
     verify_shortest_unbordered,
 )
 from overlap_lab import cli
-from overlap_lab.cli import EXIT_BUDGET, main
+from overlap_lab.cli import BUDGET_ENV_VAR, EXIT_BUDGET, EXIT_USAGE, main
 
 
 def census(k, n, m=2, **kw):
@@ -104,6 +106,32 @@ def test_counts_refuse_lengths_below_one(count, warm, n):
     assert_refused(count, (2, n), {"cache": cache}, InvalidInputError, message)
 
 
+# each count with the shortest length it refuses; unbordered_count takes
+# the empty word, so its first bad length is -1
+LOWEST_BAD_LENGTH = [(count, 0) for count in COUNTS] + [(unbordered_count, -1)]
+COUNT_IDS = [
+    "bordered_count",
+    "mutually_bordered_count",
+    "right_bordered_count",
+    "mutually_unbordered_count",
+    "s_count",
+    "expected_lso_finite",
+    "unbordered_count",
+]
+
+
+@pytest.mark.parametrize("count,n", LOWEST_BAD_LENGTH, ids=COUNT_IDS)
+def test_counts_report_k_before_n(count, n):
+    message = "alphabet size must be at least 1, got 0"
+    assert_refused(count, (0, n), {}, InvalidInputError, message)
+
+
+@pytest.mark.parametrize("count,n", LOWEST_BAD_LENGTH, ids=COUNT_IDS)
+def test_counts_report_a_mismatched_cache_before_n(count, n):
+    message = "cache was built for k=2, called with k=3"
+    assert_refused(count, (3, n), {"cache": CountCache(2)}, InvalidInputError, message)
+
+
 def test_unbordered_count_takes_the_empty_word():
     assert unbordered_count(2, 0) == 1
     message = "length must be non-negative, got -1"
@@ -134,3 +162,38 @@ def test_oracle_command_refuses_on_its_largest_check(capsys, monkeypatch, argv, 
     assert captured.err == (
         f"error: enumeration would visit {pairs} pairs, over the budget of {2**34}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["oracle", "--k", "0", "--n", "2"], "--k must be at least 1, got 0"),
+        (["oracle", "--k", "2", "--n", "0"], "--n must be at least 1, got 0"),
+        (["oracle", "--k", "2", "--n", "2", "--m", "0"], "--m must be at least 1, got 0"),
+        (["oracle", "--k", "0", "--n", "0"], "--k must be at least 1, got 0"),
+        (["count", "--k", "2", "--n", "0"], "--n must be at least 1, got 0"),
+        (["count", "--k", "0", "--n", "0"], "alphabet size must be at least 1, got 0"),
+        (["limits", "--k", "2", "--terms", "0"], "--terms must be at least 1, got 0"),
+        (["limits", "--k", "2", "--precision", "-1"], "--precision must be non-negative, got -1"),
+    ],
+)
+def test_commands_refuse_bad_sizes_k_first(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_oracle_refuses_a_budget_below_one(capsys, monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV_VAR, "0")
+    code = main(["oracle", "--k", "2", "--n", "2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == "error: OVERLAP_LAB_BUDGET must be positive, got 0\n"
+
+
+def test_limit_report_refuses_a_negative_precision():
+    message = "precision must be non-negative, got -1"
+    assert_refused(limit_report, ("M_limit", 2, 40, -1), {}, InvalidInputError, message)

@@ -257,6 +257,13 @@ def test_non_integer_alphabet_size_is_refused(call):
         call()
 
 
+def test_word_stores_any_sequence_as_a_tuple():
+    word = Word([0, 1], BINARY)
+    assert word.symbols == (0, 1)
+    assert type(word.symbols) is tuple
+    assert word == Word((0, 1), BINARY)
+
+
 def test_alphabet_stores_a_plain_int():
     assert type(Alphabet(True).k) is int
     assert type(CountCache(True).k) is int
